@@ -6,7 +6,8 @@ is a Goemans–Williamson-style two-phase scheme whose cost profile matches
 what the paper reports (|T|-independent scaling, larger-than-ST summaries):
 
 1. **Voronoi partition (Spark)** — one nearest-terminal BFS over the graph
-   (:mod:`repro.graph.voronoi`); its cost depends on |V|+|E|, *not* |T|.
+   (:func:`repro.graph.sssp.voronoi_partition`); its cost depends on
+   |V|+|E|, *not* |T|.
 2. **Cluster merging (driver)** — boundary edges between Voronoi cells give
    candidate terminal-to-terminal connections (cost = dist to one root +
    edge + dist to other root). Clusters start with their terminal's prize as
@@ -29,20 +30,9 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import Summary, _norm
+from repro.core.summary import _DSU, Summary, _norm
 from repro.graph.model import KG
-from repro.graph.voronoi import voronoi_partition
-
-
-class _DSU:
-    def __init__(self, items):
-        self.p = {x: x for x in items}
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
+from repro.graph.sssp import voronoi_partition
 
 
 def _merge_phase(
@@ -52,7 +42,7 @@ def _merge_phase(
     prize: float,
 ):
     """Greedy prize-budgeted merging; returns (dsu, accepted merge paths)."""
-    dsu = _DSU(all_terminals)
+    dsu = _DSU()
     budget = {t: (prize if t in terminals_k else 0.0) for t in all_terminals}
     accepted: list[tuple[int, int, tuple[int, ...]]] = []
     for cost, ra, rb, path in sorted(cands, key=lambda c: (c[0], c[1], c[2])):
@@ -60,7 +50,7 @@ def _merge_phase(
         if fa == fb:
             continue
         if cost <= budget[fa] + budget[fb]:
-            dsu.p[fa] = fb
+            dsu.union(fa, fb)
             budget[fb] = budget[fa] + budget[fb] - cost
             accepted.append((ra, rb, path))
     return dsu, accepted

@@ -24,7 +24,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import Summary, _norm
+from repro.core.summary import _DSU, Summary, _norm
 from repro.core.weights import COST_EPS, base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
 from repro.graph.sssp import multi_landmark_paths
@@ -53,25 +53,6 @@ def _prim(terminals: list[int], dist: dict[tuple[int, int], float]) -> list[tupl
                 bestd[s] = d
                 bestfrom[s] = t
     return chosen
-
-
-class _DSU:
-    def __init__(self):
-        self.p: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        self.p.setdefault(x, x)
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
 
 
 def _tree_of_union(edges: set[tuple[int, int]], terminals: set[int]) -> set[tuple[int, int]]:

@@ -37,6 +37,25 @@ def _norm(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+class _DSU:
+    def __init__(self):
+        self.p: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        self.p.setdefault(x, x)
+        while self.p[x] != x:
+            self.p[x] = self.p[self.p[x]]
+            x = self.p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.p[ra] = rb
+        return True
+
+
 def summary_from_paths(
     req: SummaryRequest, method: str, k: int, paths: list[tuple[int, ...]], *, dedup: bool
 ) -> Summary:

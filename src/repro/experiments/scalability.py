@@ -11,7 +11,7 @@ The paper's claim under test: ST's cost grows with the number of terminals
 |T| while PCST's one-Voronoi-pass cost does not.
 """
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -62,8 +62,8 @@ def run_scalability(
     uc = [r for r in uc_all if r.sid in {f"user:{u}" for u in users[:n_users]}]
     for k in ks:  # Fig. 9: vary k (terminals per user-centric request)
         cut = [
-            type(r)(
-                sid=r.sid, scenario=r.scenario, centers=r.centers,
+            replace(
+                r,
                 targets=tuple(t for t in r.targets if t[0] <= k),
                 paths=tuple(p for p in r.paths if p[0] <= k),
             )

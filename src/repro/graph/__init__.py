@@ -2,9 +2,9 @@
 
 GraphFrames/GraphX are unavailable offline, so this package implements the
 aggregate-messages pattern the reproduction needs directly on the DataFrame
-API: batched multi-landmark shortest paths (`sssp`), nearest-terminal BFS
-(`voronoi`), connected components (`components`) and graph statistics
-(`stats`) over a shared :class:`~repro.graph.model.KG` edge/node layout.
+API: one relaxation kernel (`sssp`) serving batched multi-landmark shortest
+paths and nearest-terminal BFS (Voronoi cells), and graph statistics
+(`stats`), over a shared :class:`~repro.graph.model.KG` edge/node layout.
 """
 from repro.graph.model import KG, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
 

@@ -1,37 +1,110 @@
-"""Batched multi-landmark shortest paths on Spark DataFrames.
+"""Hop-limited shortest paths on Spark DataFrames: one relaxation kernel.
 
-This is the distributed core of the ST summarizer (Algorithm 1, step 2:
-"compute shortest paths between all pairs of terminal nodes"). Instead of one
-Dijkstra per terminal per summary, a single iterative relaxation serves every
-``(summary, landmark)`` pair at once: the state DataFrame is keyed by
-``(sid, landmark, node)`` and each round relaxes all frontier rows against the
-edge table in one join — the aggregate-messages pattern of GraphX/GraphFrames
-expressed in Catalyst.
+Both summarizers run the same iterative relaxation, the aggregate-messages
+pattern of GraphX/GraphFrames expressed in Catalyst. State rows are
+``(sid, landmark, node, dist, path)``; each round joins the frontier against
+the edge table and keeps the minimum ``(dist, landmark, path)`` per state key.
+The key is the only difference between the two uses:
+
+* ``(sid, landmark, node)`` — :func:`multi_landmark_paths`, shortest paths from
+  every landmark of every summary at once. This is ST's metric closure
+  (Algorithm 1, step 2).
+* ``(sid, node)`` — :func:`voronoi_partition`, each node keeps only its nearest
+  terminal (the root of its Voronoi cell). One pass costs the same whatever
+  the number of terminals, the |T|-independence the paper credits PCST with
+  (Figs. 9–11).
 
 Costs are strictly positive, so hop-limited Bellman–Ford rounds converge to
-Dijkstra's answer for paths of at most ``max_hops`` edges. The shortest path
-itself is carried as an array column (hops are short — explanation paths are
-≤3 edges — so arrays stay tiny), which makes Algorithm 1's path-unfolding step
-(lines 9–14) a plain column lookup instead of a second traversal.
-
-Per-summary Eq. 1 cost boosts arrive as a small ``(sid, src, dst, cost)``
-table left-joined at relaxation time, so the base graph is shared across all
-summaries rather than replicated per summary.
+Dijkstra's answer for paths of at most ``max_hops`` edges. The path is carried
+as an array column (explanation paths are ≤3 edges, so arrays stay tiny),
+which makes Algorithm 1's path-unfolding step a column lookup. Per-summary
+Eq. 1 cost boosts arrive as a small ``(sid, src, dst, cost)`` table
+left-joined at relaxation time, so the base graph is shared by all summaries.
 """
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-_KEY = ["sid", "landmark", "node"]
 _EPS = 1e-9
 
 
-def _best_of(df: DataFrame, key: list[str]) -> DataFrame:
-    """Keep the minimum-(dist, path) row per key (deterministic tie-break)."""
-    return (
-        df.groupBy(*key)
-        .agg(F.min(F.struct("dist", "path")).alias("_s"))
-        .select(*key, F.col("_s.dist").alias("dist"), F.col("_s.path").alias("path"))
+def _relax(
+    edges: DataFrame,
+    seeds: DataFrame,
+    *,
+    key: list[str],
+    max_hops: int,
+    boosts: DataFrame | None = None,
+    track_paths: bool = True,
+) -> DataFrame:
+    """Relax from ``seeds`` ``(sid, landmark)`` for up to ``max_hops`` rounds.
+
+    Returns ``(sid, node, dist, landmark, path)``, one row per ``key``. The
+    ``min(struct(dist, landmark, path))`` tie-break makes the result
+    deterministic; ``landmark`` is constant within a group when it is part
+    of the key.
+    """
+    base = edges.select("src", "dst", F.col("cost").alias("_base_cost"))
+    init_path = (
+        F.array(F.col("landmark")) if track_paths else F.array().cast("array<long>")
     )
+    best = seeds.select(
+        "sid",
+        "landmark",
+        F.col("landmark").alias("node"),
+        F.lit(0.0).alias("dist"),
+        init_path.alias("path"),
+    ).localCheckpoint(eager=True)
+    frontier = best
+
+    for _ in range(max_hops):
+        cand = frontier.alias("f").join(base.alias("e"), F.col("f.node") == F.col("e.src"))
+        step = F.col("_base_cost")
+        if boosts is not None:
+            b = boosts.select(
+                F.col("sid").alias("_bsid"),
+                F.col("src").alias("_bsrc"),
+                F.col("dst").alias("_bdst"),
+                F.col("cost").alias("_boost_cost"),
+            )
+            cand = cand.join(
+                b,
+                (F.col("f.sid") == F.col("_bsid"))
+                & (F.col("e.src") == F.col("_bsrc"))
+                & (F.col("e.dst") == F.col("_bdst")),
+                "left",
+            )
+            step = F.coalesce(F.col("_boost_cost"), step)
+        step_path = (
+            F.concat(F.col("f.path"), F.array(F.col("e.dst")))
+            if track_paths
+            else F.col("f.path")
+        )
+        cand = cand.select(
+            F.col("f.sid").alias("sid"),
+            F.col("f.landmark").alias("landmark"),
+            F.col("e.dst").alias("node"),
+            (F.col("f.dist") + step).alias("dist"),
+            step_path.alias("path"),
+        )
+        merged = (
+            best.unionByName(cand)
+            .groupBy(*key)
+            .agg(F.min(F.struct("dist", "landmark", "path")).alias("_s"))
+            .select("sid", "node", "_s.*")
+            .localCheckpoint(eager=True)
+        )
+        # Rows whose best distance improved this round form the next frontier.
+        old = best.select(*key, F.col("dist").alias("_old"))
+        frontier = (
+            merged.join(old, key, "left")
+            .where(F.col("_old").isNull() | (F.col("dist") < F.col("_old") - _EPS))
+            .drop("_old")
+            .localCheckpoint(eager=True)
+        )
+        best = merged
+        if frontier.isEmpty():
+            break
+    return best
 
 
 def multi_landmark_paths(
@@ -58,62 +131,36 @@ def multi_landmark_paths(
         With ``track_paths=False`` the path column is a constant empty array
         (distance-only queries shuffle far less at full graph scale).
     """
-    base = edges.select("src", "dst", F.col("cost").alias("_base_cost"))
-    init_path = (
-        F.array(F.col("landmark")) if track_paths else F.array().cast("array<long>")
+    best = _relax(
+        edges,
+        sources,
+        key=["sid", "landmark", "node"],
+        max_hops=max_hops,
+        boosts=boosts,
+        track_paths=track_paths,
     )
-    best = sources.select(
-        "sid",
-        "landmark",
-        F.col("landmark").alias("node"),
-        F.lit(0.0).alias("dist"),
-        init_path.alias("path"),
-    ).localCheckpoint(eager=True)
-    frontier = best
+    return best.select("sid", "landmark", "node", "dist", "path")
 
-    for _ in range(max_hops):
-        cand = frontier.alias("f").join(base.alias("e"), F.col("f.node") == F.col("e.src"))
-        if boosts is not None:
-            b = boosts.select(
-                F.col("sid").alias("_bsid"),
-                F.col("src").alias("_bsrc"),
-                F.col("dst").alias("_bdst"),
-                F.col("cost").alias("_boost_cost"),
-            )
-            cand = cand.join(
-                b,
-                (F.col("f.sid") == F.col("_bsid"))
-                & (F.col("e.src") == F.col("_bsrc"))
-                & (F.col("e.dst") == F.col("_bdst")),
-                "left",
-            )
-            step = F.coalesce(F.col("_boost_cost"), F.col("_base_cost"))
-        else:
-            step = F.col("_base_cost")
-        step_path = (
-            F.concat(F.col("f.path"), F.array(F.col("e.dst")))
-            if track_paths
-            else F.col("f.path")
-        )
-        cand = cand.select(
-            F.col("f.sid").alias("sid"),
-            F.col("f.landmark").alias("landmark"),
-            F.col("e.dst").alias("node"),
-            (F.col("f.dist") + step).alias("dist"),
-            step_path.alias("path"),
-        )
-        cand = _best_of(cand, _KEY)
 
-        merged = _best_of(best.unionByName(cand), _KEY).localCheckpoint(eager=True)
-        # Rows whose best distance improved this round form the next frontier.
-        old = best.select(*_KEY, F.col("dist").alias("_old"))
-        frontier = (
-            merged.join(old, _KEY, "left")
-            .where(F.col("_old").isNull() | (F.col("dist") < F.col("_old") - _EPS))
-            .drop("_old")
-            .localCheckpoint(eager=True)
-        )
-        best = merged
-        if frontier.isEmpty():
-            break
-    return best
+def voronoi_partition(
+    spark: SparkSession,
+    edges: DataFrame,
+    terminals: DataFrame,
+    *,
+    max_hops: int,
+) -> DataFrame:
+    """Assign every reachable node to its nearest terminal.
+
+    Args:
+        edges: symmetrized ``(src, dst, cost)`` with ``cost > 0``.
+        terminals: ``(sid, terminal)`` — the prize-bearing nodes per summary.
+        max_hops: exploration radius in edges.
+
+    Returns:
+        ``(sid, node, root, dist, path)`` — ``root`` is the nearest terminal
+        (ties go to the smaller one), ``path`` the node array from ``root``
+        to ``node`` inclusive.
+    """
+    seeds = terminals.select("sid", F.col("terminal").alias("landmark"))
+    best = _relax(edges, seeds, key=["sid", "node"], max_hops=max_hops)
+    return best.select("sid", "node", F.col("landmark").alias("root"), "dist", "path")

@@ -1,7 +1,7 @@
 """Knowledge-based graph construction (Section III of the paper).
 
 ``build`` turns a rating matrix + item attributes into the weighted directed
-graph ``G``; ``ml1m``/``lfm1m`` generate synthetic datasets calibrated to the
+graph ``G``; ``datasets`` generates synthetic datasets calibrated to the
 paper's two real datasets; ``synth_graphs`` generates the five random graphs
 of Table III.
 """

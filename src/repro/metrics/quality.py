@@ -1,14 +1,12 @@
 """Batch quality metrics over summaries, as Spark aggregations.
 
 One call scores *every* summary of an experiment sweep (all scenarios ×
-methods × k) from three long-format DataFrames, so the metric job is a
+methods × k) from two long-format DataFrames, so the metric job is a
 handful of groupBys instead of thousands of per-summary passes:
 
 * ``edge occurrences`` ``(rid, src, dst)`` — multiset; baselines repeat edges
   across their k paths, ST/PCST summaries are edge sets.
 * ``node memberships`` ``(rid, node)`` — the summary's node set.
-* ``path occurrences`` ``(rid, node)`` — node multiset over the summary's
-  constituent paths (kept for provenance/debugging).
 
 Metric definitions follow DESIGN.md §4. Redundancy counts duplicate node
 *appearances across the edge multiset* — laying the explanation out edge by
@@ -30,8 +28,8 @@ from repro.graph.model import KG, NTYPE_ITEM, NTYPE_USER
 
 
 def summary_frames(summaries: list[Summary]) -> dict[str, pd.DataFrame]:
-    """Long-format pandas frames (meta, edges, nodes, pathnodes) for a batch."""
-    meta, edges, nodes, pathnodes = [], [], [], []
+    """Long-format pandas frames (meta, edges, nodes) for a batch."""
+    meta, edges, nodes = [], [], []
     for s in summaries:
         rid = f"{s.sid}|{s.method}|{s.k}"
         meta.append((rid, s.sid, s.scenario, s.method, s.k))
@@ -39,14 +37,10 @@ def summary_frames(summaries: list[Summary]) -> dict[str, pd.DataFrame]:
             edges.append((rid, a, b))
         for n in sorted(s.nodes):
             nodes.append((rid, n))
-        for p in s.paths:
-            for n in p:
-                pathnodes.append((rid, n))
     return {
         "meta": pd.DataFrame(meta, columns=["rid", "sid", "scenario", "method", "k"]),
         "edges": pd.DataFrame(edges, columns=["rid", "src", "dst"]),
         "nodes": pd.DataFrame(nodes, columns=["rid", "node"]),
-        "pathnodes": pd.DataFrame(pathnodes, columns=["rid", "node"]),
     }
 
 

@@ -1,14 +1,24 @@
-"""SparkSession bootstrap for `spark-submit` / plain-python job entrypoints.
+"""Spark driver environment and SparkSession bootstrap.
 
 Tests use the session fixture in conftest.py; jobs call :func:`job_session`.
-Same settings (local master, disabled broadcast autotuning so shuffle paths
-are exercised, Arrow on) so job results match test expectations.
+Both start from :func:`configure_driver_env`, and use the same settings
+(local master, disabled broadcast autotuning so shuffle paths are exercised,
+Arrow on) so job results match test expectations.
 """
 import os
 
 
 def _driver_mem() -> str:
-    """~75% of the cgroup memory limit (mirrors conftest.py), fallback 48g."""
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. The source is recorded in ``_SPARK_DRIVER_MEM_SRC``.
+
+    The cgroup read is best-effort: an emulated sysfs (e.g. gVisor) may not
+    pass the host limit through. An unbounded value (cgroup-v1's ~9.2e18
+    "unlimited" sentinel, or a missing limit) is treated as absent so the
+    JVM is never handed an impossible heap.
+    """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
     for p in (
@@ -20,16 +30,23 @@ def _driver_mem() -> str:
             if not raw or raw == "max":
                 continue
             gib = int(raw) / (1 << 30)
-            if 1 <= gib <= 1024:
-                return f"{max(1, int(gib * 0.75))}g"
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+                continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+            return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 
 
-def job_session(app: str):
-    # spark.driver.memory is read at JVM launch, not from SparkConf, so it
-    # must be in PYSPARK_SUBMIT_ARGS before the first SparkContext exists.
+def configure_driver_env() -> None:
+    """Put master and driver memory into ``PYSPARK_SUBMIT_ARGS``.
+
+    spark.driver.memory is read at JVM launch, not from SparkConf, so this
+    must run before the first SparkContext exists. Values already in the
+    environment win.
+    """
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
@@ -39,6 +56,10 @@ def job_session(app: str):
         "--conf spark.ui.enabled=false "
         "pyspark-shell",
     )
+
+
+def job_session(app: str):
+    configure_driver_env()
     from pyspark.sql import SparkSession
 
     return (

@@ -3,7 +3,7 @@ import networkx as nx
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.sssp import multi_landmark_paths
+from repro.graph.sssp import multi_landmark_paths, voronoi_partition
 from tests.conftest import nx_of, random_kg
 
 
@@ -114,3 +114,59 @@ def test_deterministic_tie_break(spark):
         res = multi_landmark_paths(spark, edges, sources, max_hops=4)
         row = [r for r in res.collect() if r["node"] == 3][0]
         assert list(row["path"]) == [0, 1, 3]
+
+
+def _rows(df):
+    return sorted(tuple(tuple(v) if isinstance(v, list) else v for v in r) for r in df.collect())
+
+
+def _boosted_inputs(spark, kg):
+    edges = _cost_edges(kg)
+    sources = spark.createDataFrame(
+        [(sid, l) for sid in ("a", "b") for l in (0, 4, 7)], "sid: string, landmark: long"
+    )
+    pairs = [(r["src"], r["dst"]) for r in kg.edges.orderBy("src", "dst").limit(6).collect()]
+    boosts = spark.createDataFrame(
+        [("a", s, d, 0.3) for s, d in pairs] + [("a", d, s, 0.3) for s, d in pairs],
+        "sid: string, src: long, dst: long, cost: double",
+    )
+    return edges, sources, boosts
+
+
+@pytest.mark.parametrize("which", ["multi_landmark_paths", "voronoi_partition"])
+def test_rows_do_not_depend_on_shuffle_partitions(spark, which):
+    kg = random_kg(spark, n=12, m=22, seed=7)
+    edges, sources, boosts = _boosted_inputs(spark, kg)
+    if which == "multi_landmark_paths":
+        run = lambda: multi_landmark_paths(spark, edges, sources, max_hops=6, boosts=boosts)
+    else:
+        terminals = sources.withColumnRenamed("landmark", "terminal")
+        run = lambda: voronoi_partition(spark, edges, terminals, max_hops=6)
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    got = {}
+    try:
+        for n in (1, 64):
+            spark.conf.set("spark.sql.shuffle.partitions", str(n))
+            got[n] = _rows(run())
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert got[1] == got[64]
+    assert len(got[1]) > 0
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_voronoi_cell_is_nearest_landmark(spark, seed):
+    # Keyed by (sid, node), the kernel must keep exactly the minimum
+    # (dist, landmark) of the (sid, landmark, node)-keyed run.
+    kg = random_kg(spark, n=14, m=24, seed=seed)
+    edges = _cost_edges(kg)
+    sources = spark.createDataFrame(
+        [(0, 1), (0, 6), (0, 11), (1, 3), (1, 9)], "sid: int, landmark: long"
+    )
+    nearest = {}
+    for r in multi_landmark_paths(spark, edges, sources, max_hops=12).collect():
+        k = (r["sid"], r["node"])
+        nearest[k] = min(nearest.get(k, (float("inf"), -1)), (r["dist"], r["landmark"]))
+    terminals = sources.withColumnRenamed("landmark", "terminal")
+    cells = voronoi_partition(spark, edges, terminals, max_hops=12).collect()
+    assert {(r["sid"], r["node"]): (r["dist"], r["root"]) for r in cells} == nearest

@@ -3,7 +3,7 @@ import networkx as nx
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.voronoi import voronoi_partition
+from repro.graph.sssp import voronoi_partition
 from tests.conftest import make_kg, nx_of, random_kg
 
 
