@@ -23,7 +23,8 @@ class SummaryRequest:
     """One summarization task across all cut-offs ``k``.
 
     Attributes:
-        sid: stable identifier (e.g. ``"user:17"`` or ``"group:F"``).
+        sid: stable identifier prefixed ``user:``/``item:``/``ugroup:``/``igroup:``
+            (e.g. ``"user:17"`` or ``"ugroup:F"``).
         scenario: ``user-centric|item-centric|user-group|item-group``.
         centers: always-included terminals (the user u / item i / group D / F).
         targets: ``(k_enter, node)`` — node joins the terminal set at
@@ -61,98 +62,67 @@ def _collect(paths_df: DataFrame) -> list[tuple[int, int, int, tuple[int, ...]]]
     )
 
 
-def user_centric_requests(paths_df: DataFrame) -> list[SummaryRequest]:
-    """One request per user: explain why this user gets their top-k items."""
-    by_user: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_user[u].append((rank, i, path))
+def _group_requests(
+    rows: list[tuple[int, int, int, tuple[int, ...]]],
+    by: str,
+    groups: dict,
+    prefix: str,
+    scenario: str,
+) -> list[SummaryRequest]:
+    """One request per group: its members are the centers, and the targets are
+    what they reach (items for ``by="user"``, users for ``by="item"``),
+    deduplicated at their smallest rank. A centric request is the group of
+    one, ``T = {u} ∪ R_u`` being ``D ∪ R_D`` at ``D = {u}``.
+    """
+    reach: dict[int, list] = defaultdict(list)
+    for u, i, rank, path in rows:
+        center, target = (u, i) if by == "user" else (i, u)
+        reach[center].append((rank, target, path))
     out = []
-    for u in sorted(by_user):
-        entries = sorted(by_user[u])
+    for gid, members in groups.items():
+        targets: dict[int, int] = {}
+        paths = []
+        for c in members:
+            for rank, t, p in reach.get(c, []):
+                targets[t] = min(targets.get(t, rank), rank)
+                paths.append((rank, p))
         out.append(
             SummaryRequest(
-                sid=f"user:{u}",
-                scenario="user-centric",
-                centers=(u,),
-                targets=tuple((rank, i) for rank, i, _ in entries),
-                paths=tuple((rank, p) for rank, _, p in entries),
+                sid=f"{prefix}:{gid}",
+                scenario=scenario,
+                centers=tuple(sorted(members)),
+                targets=tuple(sorted((ke, n) for n, ke in targets.items())),
+                paths=tuple(sorted(paths)),
             )
         )
     return out
+
+
+def user_centric_requests(paths_df: DataFrame) -> list[SummaryRequest]:
+    """One request per user: explain why this user gets their top-k items."""
+    rows = _collect(paths_df)
+    return _group_requests(rows, "user", {u: [u] for u, *_ in rows}, "user", "user-centric")
 
 
 def item_centric_requests(paths_df: DataFrame, items: list[int]) -> list[SummaryRequest]:
-    """One request per item: explain why this item reaches its users ``C_i``.
+    """One request per listed item (a repeated item gives one, at its first
+    place): explain why this item reaches its users ``C_i``.
 
     A user enters ``C_i`` at the ``k`` equal to the item's rank in their list.
     """
-    by_item: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_item[i].append((rank, u, path))
-    out = []
-    for i in items:
-        entries = sorted(by_item.get(i, []))
-        out.append(
-            SummaryRequest(
-                sid=f"item:{i}",
-                scenario="item-centric",
-                centers=(i,),
-                targets=tuple((rank, u) for rank, u, _ in entries),
-                paths=tuple((rank, p) for rank, _, p in entries),
-            )
-        )
-    return out
+    groups = {i: [i] for i in items}
+    return _group_requests(_collect(paths_df), "item", groups, "item", "item-centric")
 
 
 def user_group_requests(
     paths_df: DataFrame, groups: dict[str, list[int]]
 ) -> list[SummaryRequest]:
     """One request per user group ``D``: terminals ``D ∪ R_D``."""
-    by_user: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_user[u].append((rank, i, path))
-    out = []
-    for gid, members in groups.items():
-        targets: dict[int, int] = {}
-        paths = []
-        for u in sorted(members):
-            for rank, i, p in sorted(by_user.get(u, [])):
-                targets[i] = min(targets.get(i, rank), rank)
-                paths.append((rank, p))
-        out.append(
-            SummaryRequest(
-                sid=f"ugroup:{gid}",
-                scenario="user-group",
-                centers=tuple(sorted(members)),
-                targets=tuple(sorted((ke, n) for n, ke in targets.items())),
-                paths=tuple(sorted(paths)),
-            )
-        )
-    return out
+    return _group_requests(_collect(paths_df), "user", groups, "ugroup", "user-group")
 
 
 def item_group_requests(
     paths_df: DataFrame, groups: dict[str, list[int]]
 ) -> list[SummaryRequest]:
     """One request per item group ``F``: terminals ``F ∪ C_F``."""
-    by_item: dict[int, list] = defaultdict(list)
-    for u, i, rank, path in _collect(paths_df):
-        by_item[i].append((rank, u, path))
-    out = []
-    for gid, members in groups.items():
-        targets: dict[int, int] = {}
-        paths = []
-        for i in sorted(members):
-            for rank, u, p in sorted(by_item.get(i, [])):
-                targets[u] = min(targets.get(u, rank), rank)
-                paths.append((rank, p))
-        out.append(
-            SummaryRequest(
-                sid=f"igroup:{gid}",
-                scenario="item-group",
-                centers=tuple(sorted(members)),
-                targets=tuple(sorted((ke, n) for n, ke in targets.items())),
-                paths=tuple(sorted(paths)),
-            )
-        )
-    return out
+    return _group_requests(_collect(paths_df), "item", groups, "igroup", "item-group")

@@ -1,9 +1,10 @@
 """Batch quality metrics over summaries, as Spark aggregations.
 
 One call scores *every* summary of an experiment sweep (all scenarios ×
-methods × k) from two long-format DataFrames, so the metric job is a
+methods × k) from three long-format DataFrames, so the metric job is a
 handful of groupBys instead of thousands of per-summary passes:
 
+* ``meta`` ``(rid, sid, scenario, method, k)`` — one row per summary.
 * ``edge occurrences`` ``(rid, src, dst)`` — multiset; baselines repeat edges
   across their k paths, ST/PCST summaries are edge sets.
 * ``node memberships`` ``(rid, node)`` — the summary's node set.
@@ -44,7 +45,7 @@ def summary_frames(summaries: list[Summary]) -> dict[str, pd.DataFrame]:
     }
 
 
-def _edge_metrics(spark: SparkSession, kg: KG, edges: DataFrame) -> DataFrame:
+def _edge_metrics(kg: KG, edges: DataFrame) -> DataFrame:
     """Per-rid: n_edges, relevance, diversity."""
     kg_w = (
         kg.edges.select(
@@ -105,7 +106,7 @@ def _edge_metrics(spark: SparkSession, kg: KG, edges: DataFrame) -> DataFrame:
     )
 
 
-def _node_metrics(spark: SparkSession, kg: KG, nodes: DataFrame) -> DataFrame:
+def _node_metrics(kg: KG, nodes: DataFrame) -> DataFrame:
     """Per-rid: n_nodes, actionability, privacy."""
     typed = nodes.join(kg.nodes.select(F.col("id").alias("node"), "ntype"), "node", "left")
     return typed.groupBy("rid").agg(
@@ -120,7 +121,7 @@ def _node_metrics(spark: SparkSession, kg: KG, nodes: DataFrame) -> DataFrame:
     )
 
 
-def _consistency(spark: SparkSession, meta: DataFrame, nodes: DataFrame) -> DataFrame:
+def _consistency(meta: DataFrame, nodes: DataFrame) -> DataFrame:
     """Per-rid at cut-off k: Jaccard(node sets of S_k, S_{k+1})."""
     keyed = nodes.join(meta, "rid").select("sid", "method", "k", "node")
     sizes = keyed.groupBy("sid", "method", "k").agg(F.count_distinct("node").alias("n"))
@@ -155,19 +156,15 @@ def compute_quality(
     """
     frames = summary_frames(summaries)
     meta = spark.createDataFrame(frames["meta"])
-    empty = frames["edges"].empty  # all-singleton batch (degenerate but legal)
-    edges = spark.createDataFrame(frames["edges"]) if not empty else None
+    # The schema is explicit because an all-singleton batch has no edges.
+    edges = spark.createDataFrame(frames["edges"], "rid: string, src: long, dst: long")
     nodes = spark.createDataFrame(frames["nodes"])
 
-    res = meta
-    if edges is not None:
-        res = res.join(_edge_metrics(spark, kg, edges), "rid", "left")
-    else:
-        for c in ["n_edges", "relevance", "diversity", "comprehensibility", "redundancy"]:
-            res = res.withColumn(c, F.lit(0.0))
-    res = res.join(_node_metrics(spark, kg, nodes), "rid", "left")
-    cons = _consistency(spark, meta, nodes)
-    res = res.join(cons, ["sid", "method", "k"], "left")
+    res = (
+        meta.join(_edge_metrics(kg, edges), "rid", "left")
+        .join(_node_metrics(kg, nodes), "rid", "left")
+        .join(_consistency(meta, nodes), ["sid", "method", "k"], "left")
+    )
     pdf = res.toPandas()
     num = [
         "n_edges",

@@ -1,4 +1,6 @@
 """Spark batch metrics vs naive references, plus DuckDB oracle checks."""
+from dataclasses import replace
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -54,6 +56,14 @@ def scored(spark, kg):
         ),
     ]
     return summaries, compute_quality(spark, kg, summaries)
+
+
+def test_all_singleton_batch_has_no_edges(spark, kg):
+    singles = [replace(_summary(k=k, edges=(), paths=()), nodes=frozenset({0})) for k in (1, 2)]
+    pdf = compute_quality(spark, kg, singles)
+    assert len(pdf) == 2
+    assert (pdf[["n_edges", "comprehensibility", "diversity", "redundancy"]] == 0).all().all()
+    assert (pdf["n_nodes"] == 1).all()
 
 
 def _row(pdf, method, k):

@@ -88,3 +88,26 @@ def test_empty_paths_df(spark):
         [], "user: long, item: long, rank: int, path: array<long>, in_kg: boolean, score: double"
     )
     assert user_centric_requests(empty) == []
+
+
+def test_repeated_item_gives_one_request(paths_df):
+    reqs = item_centric_requests(paths_df, items=[20, 21, 20])
+    assert [r.sid for r in reqs] == ["item:20", "item:21"]
+
+
+@pytest.mark.parametrize("source", ["paths_df", "lite_paths"])
+def test_centric_request_is_singleton_group(request, source):
+    """``{u} ∪ R_u`` is ``D ∪ R_D`` at ``D = {u}``, and likewise for items."""
+    df = request.getfixturevalue(source)
+    users = sorted({r["user"] for r in df.select("user").collect()})
+    items = sorted({r["item"] for r in df.select("item").collect()})
+
+    def body(reqs):
+        return [(r.centers, r.targets, r.paths) for r in reqs]
+
+    assert body(user_centric_requests(df)) == body(
+        user_group_requests(df, {u: [u] for u in users})
+    )
+    assert body(item_centric_requests(df, items)) == body(
+        item_group_requests(df, {i: [i] for i in items})
+    )
