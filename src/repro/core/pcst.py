@@ -15,7 +15,9 @@ what the paper reports (|T|-independent scaling, larger-than-ST summaries):
    budget — the prize-collecting trade-off ``C(S) = Σw'(e) − Σp(v)``:
    a merge is worth it only while the collected prizes pay for the edges.
    Terminals whose connection is too expensive are forgone (their prize is
-   surrendered), exactly the PCST relaxation.
+   surrendered), exactly the PCST relaxation. The merge
+   (:func:`repro.core.summary._merge_phase`) is shared with ST, which runs it
+   with unlimited prizes as its closure MST.
 
 The printed Algorithm 2 is a sequential heap loop that, taken literally with
 {1, 0} prizes, degenerates to a single terminal; see DESIGN.md §4 for why
@@ -30,30 +32,9 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import _DSU, Summary, _norm
+from repro.core.summary import Summary, _collect_pairs, _merge_phase, _norm
 from repro.graph.model import KG
 from repro.graph.sssp import voronoi_partition
-
-
-def _merge_phase(
-    cands: list[tuple[float, int, int, tuple[int, ...]]],
-    terminals_k: set[int],
-    all_terminals: set[int],
-    prize: float,
-):
-    """Greedy prize-budgeted merging; returns (dsu, accepted merge paths)."""
-    dsu = _DSU()
-    budget = {t: (prize if t in terminals_k else 0.0) for t in all_terminals}
-    accepted: list[tuple[int, int, tuple[int, ...]]] = []
-    for cost, ra, rb, path in sorted(cands, key=lambda c: (c[0], c[1], c[2])):
-        fa, fb = dsu.find(ra), dsu.find(rb)
-        if fa == fb:
-            continue
-        if cost <= budget[fa] + budget[fb]:
-            dsu.union(fa, fb)
-            budget[fb] = budget[fa] + budget[fb] - cost
-            accepted.append((ra, rb, path))
-    return dsu, accepted
 
 
 def pcst_summaries(
@@ -79,43 +60,25 @@ def pcst_summaries(
     cells = voronoi_partition(spark, edges, terminals_df, max_hops=max_hops)
 
     # Boundary candidates: cheapest root↔root connection over any cell edge.
-    a = cells.select(
-        F.col("sid"),
-        F.col("node").alias("_u"),
-        F.col("root").alias("_ru"),
-        F.col("dist").alias("_du"),
-        F.col("path").alias("_pu"),
-    )
-    b = cells.select(
-        F.col("sid").alias("_sid2"),
-        F.col("node").alias("_v"),
-        F.col("root").alias("_rv"),
-        F.col("dist").alias("_dv"),
-        F.col("path").alias("_pv"),
-    )
+    u, v = cells.alias("u"), cells.alias("v")
     und = kg.undirected().select("src", "dst").where(F.col("src") < F.col("dst"))
     cand = (
-        und.join(a, und.src == a._u)
-        .join(b, (und.dst == b._v) & (a.sid == b._sid2))
-        .where(F.col("_ru") != F.col("_rv"))
+        und.join(u, F.col("src") == F.col("u.node"))
+        .join(v, (F.col("dst") == F.col("v.node")) & (F.col("u.sid") == F.col("v.sid")))
+        .where(F.col("u.root") != F.col("v.root"))
         .select(
-            "sid",
-            F.least("_ru", "_rv").alias("ra"),
-            F.greatest("_ru", "_rv").alias("rb"),
-            (F.col("_du") + F.lit(float(edge_cost)) + F.col("_dv")).alias("cost"),
-            F.concat("_pu", F.reverse("_pv")).alias("path"),
+            F.col("u.sid").alias("sid"),
+            F.least("u.root", "v.root").alias("ra"),
+            F.greatest("u.root", "v.root").alias("rb"),
+            (F.col("u.dist") + F.lit(float(edge_cost)) + F.col("v.dist")).alias("cost"),
+            F.concat("u.path", F.reverse("v.path")).alias("path"),
         )
     )
-    cand = (
+    by_sid = _collect_pairs(
         cand.groupBy("sid", "ra", "rb")
         .agg(F.min(F.struct("cost", "path")).alias("_m"))
         .select("sid", "ra", "rb", F.col("_m.cost").alias("cost"), F.col("_m.path").alias("path"))
     )
-    by_sid: dict[str, list] = defaultdict(list)
-    for r in cand.collect():
-        by_sid[r["sid"]].append(
-            (float(r["cost"]), int(r["ra"]), int(r["rb"]), tuple(int(n) for n in r["path"]))
-        )
 
     out: list[Summary] = []
     for req in requests:

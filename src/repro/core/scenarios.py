@@ -72,8 +72,12 @@ def _group_requests(
     """One request per group: its members are the centers, and the targets are
     what they reach (items for ``by="user"``, users for ``by="item"``),
     deduplicated at their smallest rank. A centric request is the group of
-    one, ``T = {u} ∪ R_u`` being ``D ∪ R_D`` at ``D = {u}``.
+    one, ``T = {u} ∪ R_u`` being ``D ∪ R_D`` at ``D = {u}``. A group without
+    members would give a request without terminals, so it raises ``ValueError``.
     """
+    empty = [gid for gid, members in groups.items() if not members]
+    if empty:
+        raise ValueError(f"{scenario} groups without members: {empty}")
     reach: dict[int, list] = defaultdict(list)
     for u, i, rank, path in rows:
         center, target = (u, i) if by == "user" else (i, u)

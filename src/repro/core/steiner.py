@@ -8,15 +8,18 @@ Stage split between Spark and the driver:
    (see :mod:`repro.graph.sssp`). Paths are carried as array columns, so
    Algorithm 1's "replace closure edge with its shortest path" step is a
    column lookup. Rows are filtered to terminal→terminal pairs *before*
-   collection, so only the O(Σ|T|²) closure reaches the driver.
-2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: Prim
-   over the k-restricted closure (O(|T|²), |T| ≤ ~10³), union the selected
-   closure paths, re-extract a spanning tree of the union, and repeatedly
-   prune non-terminal leaves (the standard KMB cleanup that keeps the
-   2-approximation guarantee).
+   collection, and only from the smaller terminal to the larger: costs and
+   hop limits are symmetric, so each closure pair reaches the driver once.
+2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: the
+   closure MST is PCST's cluster merge with unlimited prizes, i.e. Kruskal
+   over the k-restricted closure (:func:`repro.core.summary._merge_phase`);
+   then union the selected closure paths, re-extract a spanning tree of the
+   union, and repeatedly prune non-terminal leaves (the standard KMB cleanup
+   that keeps the 2-approximation guarantee).
 
-Terminals unreachable within ``max_hops`` are dropped from the tree (the
-summary stays weakly connected, which the problem definition requires).
+Terminals unreachable within ``max_hops`` are dropped from the tree: only the
+merged component holding the first terminal is kept (the summary stays
+weakly connected, which the problem definition requires).
 """
 from collections import defaultdict
 
@@ -24,35 +27,25 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import _DSU, Summary, _norm
-from repro.core.weights import COST_EPS, base_cost_edges, boost_table, w_cap_for
+from repro.core.summary import _DSU, Summary, _collect_pairs, _merge_phase, _norm
+from repro.core.weights import base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
 from repro.graph.sssp import multi_landmark_paths
 
 _INF = float("inf")
 
 
-def _prim(terminals: list[int], dist: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
-    """MST over the metric closure; returns chosen terminal pairs."""
-    if len(terminals) < 2:
-        return []
-    t0 = terminals[0]
-    remaining = list(terminals[1:])
-    bestd = {t: dist.get(_norm(t0, t), _INF) for t in remaining}
-    bestfrom = dict.fromkeys(remaining, t0)
-    chosen: list[tuple[int, int]] = []
-    while remaining:
-        t = min(remaining, key=lambda x: (bestd[x], x))
-        if bestd[t] == _INF:
-            break  # rest of the terminals are unreachable — forgo them
-        remaining.remove(t)
-        chosen.append((bestfrom[t], t))
-        for s in remaining:
-            d = dist.get(_norm(t, s), _INF)
-            if d < bestd[s]:
-                bestd[s] = d
-                bestfrom[s] = t
-    return chosen
+def _closure_mst(
+    terminals: list[int], cands: list[tuple[float, int, int, tuple[int, ...]]]
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """MST over the closure restricted to ``terminals``: the PCST merge with
+    unlimited prizes, which is Kruskal. Keeps the tree holding
+    ``terminals[0]``; terminals it cannot reach are forgone.
+    """
+    t = set(terminals)
+    dsu, accepted = _merge_phase([c for c in cands if c[1] in t and c[2] in t], t, t, _INF)
+    root = dsu.find(terminals[0])
+    return [m for m in accepted if dsu.find(m[0]) == root]
 
 
 def _tree_of_union(edges: set[tuple[int, int]], terminals: set[int]) -> set[tuple[int, int]]:
@@ -85,7 +78,6 @@ def steiner_summaries(
     lam: float,
     ks: list[int] | None = None,
     max_hops: int = 4,
-    eps: float = COST_EPS,
     method: str | None = None,
 ) -> list[Summary]:
     """ST summaries for every request × cut-off in ``ks``.
@@ -100,37 +92,38 @@ def steiner_summaries(
     ks = ks or [k_top]
 
     w_cap = w_cap_for(kg, lam)
-    edges = base_cost_edges(kg, w_cap, eps=eps)
-    boosts = boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top, eps=eps)
+    edges = base_cost_edges(kg, w_cap)
+    boosts = boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top)
 
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
     sources = spark.createDataFrame(term_rows, "sid: string, landmark: long")
     reach = multi_landmark_paths(spark, edges, sources, max_hops=max_hops, boosts=boosts)
 
-    # Keep only terminal→terminal rows: that's the metric closure.
+    # Keep only terminal→terminal rows, once per pair: that's the metric closure.
     members = sources.select("sid", F.col("landmark").alias("node")).distinct()
-    closure_df = reach.join(members, ["sid", "node"]).where(F.col("landmark") != F.col("node"))
-    closure: dict[str, dict[tuple[int, int], tuple[float, tuple[int, ...]]]] = defaultdict(dict)
-    for r in closure_df.collect():
-        key = _norm(int(r["landmark"]), int(r["node"]))
-        cur = closure[r["sid"]].get(key)
-        cand = (float(r["dist"]), tuple(int(n) for n in r["path"]))
-        if cur is None or cand[0] < cur[0] - 1e-12:
-            closure[r["sid"]][key] = cand
+    closure = _collect_pairs(
+        reach.join(members, ["sid", "node"])
+        .where(F.col("landmark") < F.col("node"))
+        .select(
+            "sid",
+            F.col("landmark").alias("ra"),
+            F.col("node").alias("rb"),
+            F.col("dist").alias("cost"),
+            "path",
+        )
+    )
 
     out: list[Summary] = []
     for req in requests:
-        pairs = closure.get(req.sid, {})
-        dist = {p: d for p, (d, _) in pairs.items()}
+        cands = closure.get(req.sid, [])
         for k in ks:
             terminals = req.terminals(k)
-            chosen = _prim(terminals, dist)
-            sel_paths = [pairs[_norm(a, b)][1] for a, b in chosen]
+            sel_paths = [p for _, _, p in _closure_mst(terminals, cands)]
             union_edges: set[tuple[int, int]] = set()
             for p in sel_paths:
                 union_edges.update(_norm(a, b) for a, b in zip(p, p[1:]))
             tree = _tree_of_union(union_edges, set(terminals))
-            nodes = {n for e in tree for n in e} | ({terminals[0]} if terminals else set())
+            nodes = {n for e in tree for n in e} | {terminals[0]}
             out.append(
                 Summary(
                     sid=req.sid,

@@ -4,10 +4,14 @@ A :class:`Summary` is one explanation for one ``(request, method, k)`` cell:
 its (multi)set of edges, its node set, and the *constituent paths* it was
 assembled from — ST keeps the metric-closure paths its MST selected, PCST the
 cluster-merge paths, and a baseline keeps its k individual 3-hop paths. The
-constituent paths drive the redundancy metric; the edge multiset drives
-comprehensibility/diversity (for baselines the multiset union of the k paths
-is exactly the ``|E| = 3k`` the paper plots).
+edge multiset drives every edge metric (for baselines the multiset union of
+the k paths is exactly the ``|E| = 3k`` the paper plots); the paths are kept
+for inspection.
+
+The driver side both summarizers share lives here too: :func:`_collect_pairs`
+and :func:`_merge_phase`.
 """
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.core.scenarios import SummaryRequest
@@ -54,6 +58,40 @@ class _DSU:
             return False
         self.p[ra] = rb
         return True
+
+
+def _merge_phase(
+    cands: list[tuple[float, int, int, tuple[int, ...]]],
+    terminals_k: set[int],
+    all_terminals: set[int],
+    prize: float,
+):
+    """Greedy prize-budgeted merging; returns (dsu, accepted merge paths).
+
+    With ``prize=inf`` every merge pays for itself: this is Kruskal's MST.
+    """
+    dsu = _DSU()
+    budget = {t: (prize if t in terminals_k else 0.0) for t in all_terminals}
+    accepted: list[tuple[int, int, tuple[int, ...]]] = []
+    for cost, ra, rb, path in sorted(cands, key=lambda c: (c[0], c[1], c[2])):
+        fa, fb = dsu.find(ra), dsu.find(rb)
+        if fa == fb:
+            continue
+        if cost <= budget[fa] + budget[fb]:
+            dsu.union(fa, fb)
+            budget[fb] = budget[fa] + budget[fb] - cost
+            accepted.append((ra, rb, path))
+    return dsu, accepted
+
+
+def _collect_pairs(df) -> dict[str, list[tuple[float, int, int, tuple[int, ...]]]]:
+    """Collect ``(sid, ra, rb, cost, path)`` rows as ``{sid: [(cost, ra, rb, path)]}``."""
+    by_sid: dict[str, list] = defaultdict(list)
+    for r in df.collect():
+        by_sid[r["sid"]].append(
+            (float(r["cost"]), int(r["ra"]), int(r["rb"]), tuple(int(n) for n in r["path"]))
+        )
+    return by_sid
 
 
 def summary_from_paths(

@@ -31,17 +31,15 @@ def w_cap_for(kg: KG, lam: float) -> float:
     return max(float(w_max) * (1.0 + lam), 1e-12)
 
 
-def cost_expr(weight_col: F.Column, w_cap: float, *, eps: float = COST_EPS) -> F.Column:
+def cost_expr(weight_col: F.Column, w_cap: float) -> F.Column:
     """The bounded weight→cost transform as a Spark column."""
     frac = F.least(F.greatest(weight_col / F.lit(w_cap), F.lit(0.0)), F.lit(1.0))
-    return F.lit(1.0) + F.lit(eps) * (F.lit(1.0) - frac)
+    return F.lit(1.0) + F.lit(COST_EPS) * (F.lit(1.0) - frac)
 
 
-def base_cost_edges(kg: KG, w_cap: float, *, eps: float = COST_EPS) -> DataFrame:
+def base_cost_edges(kg: KG, w_cap: float) -> DataFrame:
     """Symmetrized ``(src, dst, cost)`` under unboosted weights (freq = 0)."""
-    return kg.undirected().select(
-        "src", "dst", cost_expr(F.col("weight"), w_cap, eps=eps).alias("cost")
-    )
+    return kg.undirected().select("src", "dst", cost_expr(F.col("weight"), w_cap).alias("cost"))
 
 
 def path_edge_frequencies(requests, k: int) -> pd.DataFrame:
@@ -73,7 +71,6 @@ def boost_table(
     lam: float,
     w_cap: float,
     k: int,
-    eps: float = COST_EPS,
 ) -> DataFrame | None:
     """Per-summary replacement costs for explanation-path edges.
 
@@ -89,7 +86,7 @@ def boost_table(
     boosted_w = F.col("weight") * (1.0 + lam * F.col("freq") / F.col("n_s"))
     return (
         freq.join(und, ["src", "dst"])
-        .select("sid", "src", "dst", cost_expr(boosted_w, w_cap, eps=eps).alias("cost"))
+        .select("sid", "src", "dst", cost_expr(boosted_w, w_cap).alias("cost"))
         # An edge can appear with both etypes or duplicated rows; keep the min.
         .groupBy("sid", "src", "dst")
         .agg(F.min("cost").alias("cost"))

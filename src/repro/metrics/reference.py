@@ -1,8 +1,7 @@
 """Naive reference implementations of the quality metrics.
 
-Pure pandas/Python, O(E²) where the Spark versions use closed forms. Used by
-tests to cross-check :mod:`repro.metrics.quality` and by the Table I example
-job where a single summary is scored.
+Pure pandas/Python, O(E²) where the Spark versions use closed forms. Used
+only by tests, to cross-check :mod:`repro.metrics.quality`; no job imports it.
 """
 from repro.core.summary import Summary
 from repro.graph.model import NTYPE_ITEM, NTYPE_USER

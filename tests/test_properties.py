@@ -1,8 +1,9 @@
 """Hypothesis property tests for the driver-side algorithm pieces.
 
-No SparkSession involved — these fuzz the pure-Python components: Prim over
-metric closures, the union→tree→prune cleanup, the PCST merge phase, request
-semantics, and the reference metric formulas.
+No SparkSession involved — these fuzz the pure-Python components: ST's
+closure MST (the merge phase with unlimited prizes), the union→tree→prune
+cleanup, the PCST merge phase, request semantics, and the reference metric
+formulas.
 """
 import networkx as nx
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.pcst import _merge_phase
 from repro.core.scenarios import SummaryRequest
-from repro.core.steiner import _DSU, _prim, _tree_of_union
+from repro.core.steiner import _DSU, _closure_mst, _tree_of_union
 from repro.core.summary import Summary, _norm, summary_from_paths
 from repro.kg.build import IdSpace
 from repro.metrics import reference as ref
@@ -45,12 +46,16 @@ def random_paths(draw):
     return paths
 
 
-# --- Prim over the closure -------------------------------------------------
+# --- MST over the closure -------------------------------------------------
+
+def _cands(dist):
+    return [(d, a, b, (a, b)) for (a, b), d in dist.items()]
+
 
 @given(closure())
-def test_prim_matches_networkx_mst_weight(c):
+def test_closure_mst_matches_networkx_mst_weight(c):
     terms, dist = c
-    chosen = _prim(terms, dist)
+    chosen = [(a, b) for a, b, _ in _closure_mst(terms, _cands(dist))]
     g = nx.Graph()
     for (a, b), d in dist.items():
         g.add_edge(a, b, weight=d)
@@ -62,18 +67,19 @@ def test_prim_matches_networkx_mst_weight(c):
 
 
 @given(closure())
-def test_prim_result_is_spanning_tree(c):
+def test_closure_mst_is_spanning_tree(c):
     terms, dist = c
-    chosen = _prim(terms, dist)
+    chosen = [(a, b) for a, b, _ in _closure_mst(terms, _cands(dist))]
     g = nx.Graph(chosen)
     assert nx.is_connected(g)
     assert set(g.nodes) == set(terms)
 
 
-def test_prim_partial_closure_drops_unreachables():
-    dist = {(0, 1): 1.0}  # terminal 2 unreachable
-    chosen = _prim([0, 1, 2], dist)
-    assert chosen == [(0, 1)]
+def test_closure_mst_drops_terminals_unreachable_from_the_first():
+    # 2-3 is connected, but not to terminal 0: only 0's tree is kept.
+    dist = {(0, 1): 1.0, (2, 3): 0.5}
+    assert _closure_mst([0, 1, 2, 3], _cands(dist)) == [(0, 1, (0, 1))]
+    assert _closure_mst([2, 0, 1, 3], _cands(dist)) == [(2, 3, (2, 3))]
 
 
 # --- union → tree → prune --------------------------------------------------

@@ -95,6 +95,13 @@ def test_repeated_item_gives_one_request(paths_df):
     assert [r.sid for r in reqs] == ["item:20", "item:21"]
 
 
+@pytest.mark.parametrize("build", [user_group_requests, item_group_requests])
+def test_empty_group_raises(paths_df, build):
+    # A group without members has no terminals; it must not become a request.
+    with pytest.raises(ValueError, match="'empty'"):
+        build(paths_df, {"g": [0, 20], "empty": []})
+
+
 @pytest.mark.parametrize("source", ["paths_df", "lite_paths"])
 def test_centric_request_is_singleton_group(request, source):
     """``{u} ∪ R_u`` is ``D ∪ R_D`` at ``D = {u}``, and likewise for items."""

@@ -4,7 +4,8 @@ from itertools import chain, combinations
 import networkx as nx
 import pytest
 
-from repro.core.scenarios import SummaryRequest
+from repro.core.pcst import pcst_summaries
+from repro.core.scenarios import SummaryRequest, user_group_requests
 from repro.core.steiner import steiner_summaries
 from repro.core.weights import COST_EPS, w_cap_for
 from repro.graph.model import ETYPE_UI
@@ -128,6 +129,15 @@ def test_unreachable_terminal_is_dropped(spark):
     assert 6 not in s.nodes
 
 
+def test_st_closure_tie_goes_to_smaller_terminal(spark):
+    # Two equal-cost routes 0-1-4-5 and 0-2-3-5: the closure keeps the path
+    # the kernel found from terminal 0, the smaller of the pair.
+    cycle = [0, 1, 4, 5, 3, 2, 0]
+    kg = make_kg(spark, [(a, b, 1.0, ETYPE_UI) for a, b in zip(cycle, cycle[1:])])
+    (s,) = steiner_summaries(spark, kg, [_req([0, 5])], lam=0.0, max_hops=6)
+    assert set(s.edges) == {(0, 1), (1, 4), (4, 5)}
+
+
 def test_incremental_k_series(spark):
     kg = make_kg(
         spark,
@@ -174,3 +184,26 @@ def test_summary_metadata(spark, ml1m_lite, lite_requests, lite_summaries):
         assert s.scenario == "user-centric"
         assert 1 <= s.k <= 5
         assert s.sid.startswith("user:")
+
+
+@pytest.mark.parametrize("method", ["st", "pcst"])
+def test_summaries_do_not_depend_on_shuffle_partitions(
+    spark, ml1m_lite, lite_paths, lite_requests, method
+):
+    _, kg = ml1m_lite
+    reqs = lite_requests + user_group_requests(lite_paths, {"g": [0, 1, 2]})
+    ks = [1, 3, 5]
+    if method == "st":
+        run = lambda: steiner_summaries(spark, kg, reqs, lam=1.0, ks=ks)
+    else:
+        run = lambda: pcst_summaries(spark, kg, reqs, ks=ks)
+    before = spark.conf.get("spark.sql.shuffle.partitions")
+    got = {}
+    try:
+        for n in (1, 4, 64):
+            spark.conf.set("spark.sql.shuffle.partitions", str(n))
+            got[n] = [(s.sid, s.k, s.edges, s.nodes) for s in run()]
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", before)
+    assert got[1] == got[4] == got[64]
+    assert any(edges for _, _, edges, _ in got[1])
