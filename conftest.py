@@ -1,7 +1,7 @@
 import os
 import sys
 
-from repro.runtime import configure_driver_env
+from repro.runtime import configure_driver_env, job_session
 
 # Must run before pyspark is imported anywhere: pytest loads this file
 # before any test module.
@@ -15,24 +15,10 @@ from pyspark.sql import SparkSession  # noqa: E402
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    It comes from :func:`repro.runtime.job_session`, the builder the jobs
+    use, so tests run with the jobs' settings.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.showConsoleProgress", "false")
-        .getOrCreate()
-    )
+    s = job_session("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -36,6 +36,11 @@ from repro.core.summary import Summary, _collect_pairs, _merge_phase, _norm
 from repro.graph.model import KG
 from repro.graph.sssp import voronoi_partition
 
+# Unit edge cost c and terminal prize (0 for non-terminals): two terminals
+# merge across at most 2·PRIZE/EDGE_COST = 8 edges (DESIGN.md §4).
+EDGE_COST = 0.25
+PRIZE = 1.0
+
 
 def pcst_summaries(
     spark: SparkSession,
@@ -43,8 +48,6 @@ def pcst_summaries(
     requests: list[SummaryRequest],
     *,
     ks: list[int] | None = None,
-    edge_cost: float = 0.25,
-    prize: float = 1.0,
     max_hops: int = 4,
     method: str = "pcst",
 ) -> list[Summary]:
@@ -56,7 +59,7 @@ def pcst_summaries(
 
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
     terminals_df = spark.createDataFrame(term_rows, "sid: string, terminal: long")
-    edges = kg.undirected().select("src", "dst", F.lit(float(edge_cost)).alias("cost"))
+    edges = kg.undirected().select("src", "dst", F.lit(EDGE_COST).alias("cost"))
     cells = voronoi_partition(spark, edges, terminals_df, max_hops=max_hops)
 
     # Boundary candidates: cheapest root↔root connection over any cell edge.
@@ -70,7 +73,7 @@ def pcst_summaries(
             F.col("u.sid").alias("sid"),
             F.least("u.root", "v.root").alias("ra"),
             F.greatest("u.root", "v.root").alias("rb"),
-            (F.col("u.dist") + F.lit(float(edge_cost)) + F.col("v.dist")).alias("cost"),
+            (F.col("u.dist") + F.lit(EDGE_COST) + F.col("v.dist")).alias("cost"),
             F.concat("u.path", F.reverse("v.path")).alias("path"),
         )
     )
@@ -87,11 +90,11 @@ def pcst_summaries(
         for k in ks:
             terms_k = set(req.terminals(k))
             centers = [c for c in req.centers if c in all_terms] or sorted(terms_k)[:1]
-            dsu, accepted = _merge_phase(cands, terms_k, all_terms, prize)
+            dsu, accepted = _merge_phase(cands, terms_k, all_terms, PRIZE)
             # Pick the component holding the most prize (preferring centers).
             comp_prize: dict[int, float] = defaultdict(float)
             for t in terms_k:
-                comp_prize[dsu.find(t)] += prize
+                comp_prize[dsu.find(t)] += PRIZE
             for c in centers:
                 comp_prize[dsu.find(c)] += 1e-9  # center tie-break
             root = (

@@ -77,9 +77,3 @@ class KG:
         """Driver-side ``{id: ntype}`` map (use only on small graphs/tests)."""
         return {r["id"]: r["ntype"] for r in self.nodes.collect()}
 
-
-def kg_from_pandas(spark, nodes_pdf, edges_pdf) -> KG:
-    """Build a :class:`KG` from pandas frames (generators produce pandas)."""
-    nodes = spark.createDataFrame(nodes_pdf[["id", "ntype"]])
-    edges = spark.createDataFrame(edges_pdf[["src", "dst", "weight", "etype"]])
-    return KG(nodes=nodes, edges=edges)

@@ -4,7 +4,10 @@ Both summarizers run the same iterative relaxation, the aggregate-messages
 pattern of GraphX/GraphFrames expressed in Catalyst. State rows are
 ``(sid, landmark, node, dist, path)``; each round joins the frontier against
 the edge table and keeps the minimum ``(dist, landmark, path)`` per state key.
-The key is the only difference between the two uses:
+A round is one aggregate: the same ``groupBy`` also yields each key's distance
+before the round, so the next frontier, the rows that beat it, is a filter of
+that one checkpointed result. The key is the only difference between the two
+uses:
 
 * ``(sid, landmark, node)`` — :func:`multi_landmark_paths`, shortest paths from
   every landmark of every summary at once. This is ST's metric closure
@@ -42,8 +45,11 @@ def _relax(
     ``min(struct(dist, landmark, path))`` tie-break makes the result
     deterministic; ``landmark`` is constant within a group when it is part
     of the key.
+
+    Each round is one aggregate, checkpointed once. Its ``min(_old)`` is the
+    key's distance before the round (candidate rows carry null); the next
+    frontier is the rows that are new or beat it by more than ``_EPS``.
     """
-    base = edges.select("src", "dst", F.col("cost").alias("_base_cost"))
     init_path = (
         F.array(F.col("landmark")) if track_paths else F.array().cast("array<long>")
     )
@@ -57,23 +63,17 @@ def _relax(
     frontier = best
 
     for _ in range(max_hops):
-        cand = frontier.alias("f").join(base.alias("e"), F.col("f.node") == F.col("e.src"))
-        step = F.col("_base_cost")
+        cand = frontier.alias("f").join(edges.alias("e"), F.col("f.node") == F.col("e.src"))
+        step = F.col("e.cost")
         if boosts is not None:
-            b = boosts.select(
-                F.col("sid").alias("_bsid"),
-                F.col("src").alias("_bsrc"),
-                F.col("dst").alias("_bdst"),
-                F.col("cost").alias("_boost_cost"),
-            )
             cand = cand.join(
-                b,
-                (F.col("f.sid") == F.col("_bsid"))
-                & (F.col("e.src") == F.col("_bsrc"))
-                & (F.col("e.dst") == F.col("_bdst")),
+                boosts.alias("b"),
+                (F.col("f.sid") == F.col("b.sid"))
+                & (F.col("e.src") == F.col("b.src"))
+                & (F.col("e.dst") == F.col("b.dst")),
                 "left",
             )
-            step = F.coalesce(F.col("_boost_cost"), step)
+            step = F.coalesce(F.col("b.cost"), step)
         step_path = (
             F.concat(F.col("f.path"), F.array(F.col("e.dst")))
             if track_paths
@@ -85,23 +85,23 @@ def _relax(
             F.col("e.dst").alias("node"),
             (F.col("f.dist") + step).alias("dist"),
             step_path.alias("path"),
+            F.lit(None).cast("double").alias("_old"),
         )
         merged = (
-            best.unionByName(cand)
+            best.withColumn("_old", F.col("dist"))
+            .unionByName(cand)
             .groupBy(*key)
-            .agg(F.min(F.struct("dist", "landmark", "path")).alias("_s"))
-            .select("sid", "node", "_s.*")
+            .agg(
+                F.min(F.struct("dist", "landmark", "path")).alias("_s"),
+                F.min("_old").alias("_old"),
+            )
+            .select("sid", "node", "_s.*", "_old")
             .localCheckpoint(eager=True)
         )
-        # Rows whose best distance improved this round form the next frontier.
-        old = best.select(*key, F.col("dist").alias("_old"))
-        frontier = (
-            merged.join(old, key, "left")
-            .where(F.col("_old").isNull() | (F.col("dist") < F.col("_old") - _EPS))
-            .drop("_old")
-            .localCheckpoint(eager=True)
-        )
-        best = merged
+        best = merged.drop("_old")
+        frontier = merged.where(
+            F.col("_old").isNull() | (F.col("dist") < F.col("_old") - _EPS)
+        ).drop("_old")
         if frontier.isEmpty():
             break
     return best

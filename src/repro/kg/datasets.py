@@ -34,6 +34,12 @@ LFM1M_ATTRS = 249_840  # not reported by the paper; ≈20 entities per track
 _TS_LO = 946_684_800  # 2000-01-01
 _TS_HI = 1_041_379_200  # 2003-01-01
 
+# Skew profile shared by both datasets: Zipf exponents of item popularity and
+# of entity sharing across items, lognormal σ of user activity.
+_ITEM_ALPHA = 0.78
+_USER_SIGMA = 1.1
+_EXT_ALPHA = 0.9
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -94,13 +100,11 @@ def _sample_interactions(
     n_users: int,
     n_items: int,
     n_target: int,
-    item_alpha: float,
-    user_sigma: float,
 ) -> pd.DataFrame:
     """Distinct (user, item) pairs: Zipf item popularity × lognormal activity."""
-    user_w = g.lognormal(mean=0.0, sigma=user_sigma, size=n_users)
+    user_w = g.lognormal(mean=0.0, sigma=_USER_SIGMA, size=n_users)
     user_w /= user_w.sum()
-    item_w = _zipf_weights(n_items, item_alpha)
+    item_w = _zipf_weights(n_items, _ITEM_ALPHA)
     return _sample_distinct_pairs(
         g,
         n_rows=n_users,
@@ -121,9 +125,6 @@ def _gen_dataset(
     n_attrs: int,
     scale: float,
     seed: int,
-    item_alpha: float = 0.78,
-    user_sigma: float = 1.1,
-    ext_alpha: float = 0.9,
 ) -> Dataset:
     """Generate one dataset; ``scale`` shrinks node counts, preserving degrees."""
     g = np.random.default_rng(seed)
@@ -133,9 +134,7 @@ def _gen_dataset(
     nr = interaction_target(int(n_ratings * scale), nu, ni)
     na = interaction_target(int(n_attrs * scale), ni, ne)
 
-    inter = _sample_interactions(
-        g, n_users=nu, n_items=ni, n_target=nr, item_alpha=item_alpha, user_sigma=user_sigma
-    )
+    inter = _sample_interactions(g, n_users=nu, n_items=ni, n_target=nr)
     n = len(inter)
     ratings = inter.assign(
         rating=g.choice([1, 2, 3, 4, 5], size=n, p=[0.05, 0.10, 0.25, 0.35, 0.25]).astype(
@@ -152,7 +151,7 @@ def _gen_dataset(
         n_cols=ne,
         n_target=na,
         row_w=None,
-        col_w=_zipf_weights(ne, ext_alpha),
+        col_w=_zipf_weights(ne, _EXT_ALPHA),
         names=("item", "ext"),
     )
 

@@ -1,9 +1,9 @@
 """Spark driver environment and SparkSession bootstrap.
 
-Tests use the session fixture in conftest.py; jobs call :func:`job_session`.
-Both start from :func:`configure_driver_env`, and use the same settings
-(local master, disabled broadcast autotuning so shuffle paths are exercised,
-Arrow on) so job results match test expectations.
+Jobs and the tests' session fixture in conftest.py both get their session
+from :func:`job_session`, so they share one set of settings (local master,
+disabled broadcast autotuning so shuffle paths are exercised, Arrow on) and
+job results match test expectations.
 """
 import os
 

@@ -29,7 +29,7 @@ def test_summary_is_weakly_connected(spark):
 
 def test_nearby_terminals_all_connected(spark):
     # A path of 5 nodes, terminals at both ends and middle: all within prize
-    # budget at edge_cost 0.25 → one component containing every terminal.
+    # budget at edge cost 0.25 → one component containing every terminal.
     kg = make_kg(spark, [(i, i + 1, 1.0, ETYPE_UI) for i in range(4)])
     (s,) = pcst_summaries(spark, kg, [_req([0, 2, 4])], max_hops=6)
     assert {0, 2, 4} <= s.nodes
@@ -42,21 +42,6 @@ def test_expensive_terminal_is_forgone(spark):
     kg = make_kg(spark, [(i, i + 1, 1.0, ETYPE_UI) for i in range(13)])
     (s,) = pcst_summaries(spark, kg, [_req([0, 13])], max_hops=7)
     assert not ({0, 13} <= s.nodes)
-
-
-def test_prize_scales_inclusion(spark):
-    # Same chain, bigger prizes: now the far terminal is worth connecting.
-    kg = make_kg(spark, [(i, i + 1, 1.0, ETYPE_UI) for i in range(13)])
-    (s,) = pcst_summaries(spark, kg, [_req([0, 13])], max_hops=7, prize=2.0)
-    assert {0, 13} <= s.nodes
-
-
-def test_edge_cost_scales_exclusion(spark):
-    kg = make_kg(spark, [(i, i + 1, 1.0, ETYPE_UI) for i in range(4)])
-    (s,) = pcst_summaries(spark, kg, [_req([0, 4])], max_hops=6, edge_cost=1.0)
-    assert not ({0, 4} <= s.nodes)  # 4 edges × 1.0 > prizes 2
-    (s2,) = pcst_summaries(spark, kg, [_req([0, 4])], max_hops=6, edge_cost=0.25)
-    assert {0, 4} <= s2.nodes
 
 
 def test_excluded_k_terminals_act_as_relays_only(spark):

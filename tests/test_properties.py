@@ -6,6 +6,7 @@ cleanup, the PCST merge phase, request semantics, and the reference metric
 formulas.
 """
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,18 @@ def test_merge_phase_respects_budget(n, cost):
     dsu, accepted = _merge_phase(cands, terms, terms, prize=1.0)
     # total spent cost never exceeds total prize
     assert len(accepted) * cost <= n * 1.0 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "prize, cost, merged", [(1.0, 3.25, False), (1.0, 1.0, True), (2.0, 3.25, True)]
+)
+def test_merge_phase_accepts_a_merge_its_prizes_pay_for(prize, cost, merged):
+    # Two terminals hold 2·prize: at PCST's edge cost 0.25 a 13-edge chain
+    # (3.25) needs prize 2, a 4-edge one (1.0) fits prize 1.
+    terms = {0, 13}
+    dsu, accepted = _merge_phase([(cost, 0, 13, (0, 13))], terms, terms, prize=prize)
+    assert (dsu.find(0) == dsu.find(13)) is merged
+    assert len(accepted) == int(merged)
 
 
 def test_merge_phase_zero_budget_rejects_everything():

@@ -67,6 +67,53 @@ def test_hop_limit_restricts_reach(spark):
     assert reached == {0, 1, 2}
 
 
+def _hop_limited_bellman_ford(cost, source, max_hops):
+    """Reference: cheapest distance over paths of at most ``max_hops`` edges."""
+    dist = {source: 0.0}
+    for _ in range(max_hops):
+        nxt = dict(dist)
+        for (a, b), c in cost.items():
+            if a in dist and dist[a] + c < nxt.get(b, float("inf")):
+                nxt[b] = dist[a] + c
+        dist = nxt
+    return dist
+
+
+@pytest.mark.parametrize("seed, max_hops", [(0, 2), (0, 3), (1, 2), (1, 3)])
+def test_hop_limited_distances_with_boosts(spark, seed, max_hops):
+    # Weighted costs, every fourth edge boosted for sid "x" only: the hop
+    # limit binds, so a cheaper path with too many edges must not win.
+    kg = random_kg(spark, n=14, m=30, seed=seed)
+    rows = kg.edges.orderBy("src", "dst").collect()
+    base = {}
+    for r in rows:
+        base[(r["src"], r["dst"])] = base[(r["dst"], r["src"])] = 0.2 + r["weight"]
+    boosted = [(r["src"], r["dst"]) for r in rows[::4]]
+    boosted += [(b, a) for a, b in boosted]
+    cost = {"x": {**base, **{e: 0.05 for e in boosted}}, "y": base}
+    edges = kg.undirected().select("src", "dst", (F.lit(0.2) + F.col("weight")).alias("cost"))
+    landmarks = (0, 5, 9)
+    sources = spark.createDataFrame(
+        [(sid, l) for sid in cost for l in landmarks], "sid: string, landmark: long"
+    )
+    boosts = spark.createDataFrame(
+        [("x", a, b, 0.05) for a, b in boosted], "sid: string, src: long, dst: long, cost: double"
+    )
+    res = multi_landmark_paths(spark, edges, sources, max_hops=max_hops, boosts=boosts)
+    got = {(r["sid"], r["landmark"], r["node"]): r["dist"] for r in res.collect()}
+    expect, binds = {}, False
+    for sid, c in cost.items():
+        for l in landmarks:
+            ref = _hop_limited_bellman_ford(c, l, max_hops)
+            full = _hop_limited_bellman_ford(c, l, len(base))
+            binds |= any(d > full[n] + 1e-9 for n, d in ref.items())
+            expect.update({(sid, l, n): d for n, d in ref.items()})
+    assert binds
+    assert set(got) == set(expect)
+    for k, d in expect.items():
+        assert got[k] == pytest.approx(d, abs=1e-9), k
+
+
 def test_multiple_sids_are_independent(spark):
     from tests.conftest import make_kg
 
@@ -142,16 +189,21 @@ def test_rows_do_not_depend_on_shuffle_partitions(spark, which):
     else:
         terminals = sources.withColumnRenamed("landmark", "terminal")
         run = lambda: voronoi_partition(spark, edges, terminals, max_hops=6)
-    before = spark.conf.get("spark.sql.shuffle.partitions")
+    settings = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+    before = {k: spark.conf.get(k) for k in settings}
     got = {}
     try:
-        for n in (1, 64):
-            spark.conf.set("spark.sql.shuffle.partitions", str(n))
-            got[n] = _rows(run())
+        for aqe in ("true", "false"):
+            for n in ("1", "64"):
+                spark.conf.set("spark.sql.adaptive.enabled", aqe)
+                spark.conf.set("spark.sql.shuffle.partitions", n)
+                got[aqe, n] = _rows(run())
     finally:
-        spark.conf.set("spark.sql.shuffle.partitions", before)
-    assert got[1] == got[64]
-    assert len(got[1]) > 0
+        for k, v in before.items():
+            spark.conf.set(k, v)
+    first = got["true", "1"]
+    assert len(first) > 0
+    assert all(rows == first for rows in got.values())
 
 
 @pytest.mark.parametrize("seed", [8, 9])
