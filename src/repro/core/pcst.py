@@ -60,7 +60,7 @@ def pcst_summaries(
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
     terminals_df = spark.createDataFrame(term_rows, "sid: string, terminal: long")
     edges = kg.undirected().select("src", "dst", F.lit(EDGE_COST).alias("cost"))
-    cells = voronoi_partition(spark, edges, terminals_df, max_hops=max_hops)
+    cells = voronoi_partition(edges, terminals_df, max_hops=max_hops)
 
     # Boundary candidates: cheapest root↔root connection over any cell edge.
     u, v = cells.alias("u"), cells.alias("v")

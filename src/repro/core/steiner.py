@@ -4,10 +4,10 @@ Stage split between Spark and the driver:
 
 1. **Metric closure (Spark)** — one batched multi-landmark shortest-path run
    serves every request: landmarks are all terminals of all requests, and the
-   per-request Eq. 1 boost rides along as a small replacement-cost table
-   (see :mod:`repro.graph.sssp`). Paths are carried as array columns, so
-   Algorithm 1's "replace closure edge with its shortest path" step is a
-   column lookup. Rows are filtered to terminal→terminal pairs *before*
+   per-request Eq. 1 boost rides along as a small table of alternative edge
+   costs, never above the shared ones (see :mod:`repro.graph.sssp`). Paths
+   are carried as array columns, so Algorithm 1's "replace closure edge with
+   its shortest path" step is a column lookup. Rows are filtered to terminal→terminal pairs *before*
    collection, and only from the smaller terminal to the larger: costs and
    hop limits are symmetric, so each closure pair reaches the driver once.
 2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: the
@@ -83,7 +83,8 @@ def steiner_summaries(
     """ST summaries for every request × cut-off in ``ks``.
 
     ``lam`` is Eq. 1's λ; the boost is computed over the k_max path set (the
-    per-k difference only moves cost tie-breaks, see DESIGN.md §4).
+    per-k difference only moves cost tie-breaks, see DESIGN.md §4). Raises
+    ``ValueError`` when ``lam < 0`` or an edge weight is negative.
     """
     if not requests:
         return []
@@ -97,7 +98,7 @@ def steiner_summaries(
 
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
     sources = spark.createDataFrame(term_rows, "sid: string, landmark: long")
-    reach = multi_landmark_paths(spark, edges, sources, max_hops=max_hops, boosts=boosts)
+    reach = multi_landmark_paths(edges, sources, max_hops=max_hops, boosts=boosts)
 
     # Keep only terminal→terminal rows, once per pair: that's the metric closure.
     members = sources.select("sid", F.col("landmark").alias("node")).distinct()

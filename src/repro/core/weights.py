@@ -26,9 +26,18 @@ COST_EPS = 0.5
 
 
 def w_cap_for(kg: KG, lam: float) -> float:
-    """Upper bound on any λ-boosted weight (freq/|S| ≤ 1)."""
-    w_max = kg.edges.agg(F.max("weight")).collect()[0][0] or 0.0
-    return max(float(w_max) * (1.0 + lam), 1e-12)
+    """Upper bound on any λ-boosted weight (freq/|S| ≤ 1).
+
+    Raises ``ValueError`` when ``lam < 0`` or any edge weight is negative:
+    Eq. 1 could then make a boosted edge cost more than its shared row, and
+    the SSSP kernel, which keeps the cheaper of the two, would ignore it.
+    """
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    w_min, w_max = kg.edges.agg(F.min("weight"), F.max("weight")).collect()[0]
+    if w_min is not None and w_min < 0:
+        raise ValueError(f"edge weights must be >= 0, got {w_min}")
+    return max(float(w_max or 0.0) * (1.0 + lam), 1e-12)
 
 
 def cost_expr(weight_col: F.Column, w_cap: float) -> F.Column:
@@ -72,11 +81,13 @@ def boost_table(
     w_cap: float,
     k: int,
 ) -> DataFrame | None:
-    """Per-summary replacement costs for explanation-path edges.
+    """Per-summary alternative costs for explanation-path edges.
 
-    ``(sid, src, dst, cost)`` where ``cost`` applies Eq. 1's boosted weight.
-    Path edges absent from the KG (PLM hallucinations) produce no row — the
-    left join in the SSSP simply never matches them.
+    ``(sid, src, dst, cost)`` where ``cost`` applies Eq. 1's boosted weight,
+    never more than the :func:`base_cost_edges` cost of the same edge. Path
+    edges absent from the KG (PLM hallucinations) produce no row. An edge the
+    KG holds twice (both etypes, or duplicated rows) gives one row per copy;
+    the SSSP kernel keeps the cheapest.
     """
     freq_pdf = path_edge_frequencies(requests, k)
     if freq_pdf.empty:
@@ -84,10 +95,6 @@ def boost_table(
     freq = spark.createDataFrame(freq_pdf)
     und = kg.undirected().select("src", "dst", "weight")
     boosted_w = F.col("weight") * (1.0 + lam * F.col("freq") / F.col("n_s"))
-    return (
-        freq.join(und, ["src", "dst"])
-        .select("sid", "src", "dst", cost_expr(boosted_w, w_cap).alias("cost"))
-        # An edge can appear with both etypes or duplicated rows; keep the min.
-        .groupBy("sid", "src", "dst")
-        .agg(F.min("cost").alias("cost"))
+    return freq.join(und, ["src", "dst"]).select(
+        "sid", "src", "dst", cost_expr(boosted_w, w_cap).alias("cost")
     )

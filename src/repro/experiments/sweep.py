@@ -33,6 +33,9 @@ from repro.kg.datasets import Dataset, dataset_kg, ml1m
 from repro.metrics.quality import compute_quality
 from repro.recommenders import BASELINES
 
+# Seeds the dataset, the user sample and every baseline's paths.
+SEED = 11
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -42,13 +45,11 @@ class SweepConfig:
     n_users_per_gender: int = 10
     n_items_per_pop: int = 10
     k: int = 10
-    seed: int = 11
     lams: tuple[float, ...] = (0.01, 1.0, 100.0)
     # Baselines that get the full λ sweep + all four scenarios.
     baselines: tuple[str, ...] = ("pgpr", "cafe")
     # Baselines that get λ=1 and the user scenarios only (Figs 12–13).
     extra_baselines: tuple[str, ...] = ("plm", "pearlm")
-    max_hops: int = 4
     dataset: str = "ml1m"
 
 
@@ -84,18 +85,13 @@ def sample_items(
     return {"popular": most, "unpopular": [i for i in least if i not in most]}
 
 
-def _summarize(spark, kg, requests, *, lams, ks, max_hops, tag):
+def _summarize(spark, kg, requests, *, lams, ks, tag):
     out = []
     for lam in lams:
         out.extend(
-            steiner_summaries(
-                spark, kg, requests, lam=lam, ks=ks, max_hops=max_hops,
-                method=f"{tag}+st(lam={lam:g})",
-            )
+            steiner_summaries(spark, kg, requests, lam=lam, ks=ks, method=f"{tag}+st(lam={lam:g})")
         )
-    out.extend(
-        pcst_summaries(spark, kg, requests, ks=ks, max_hops=max_hops, method=f"{tag}+pcst")
-    )
+    out.extend(pcst_summaries(spark, kg, requests, ks=ks, method=f"{tag}+pcst"))
     return out
 
 
@@ -106,16 +102,16 @@ def run_sweep(spark: SparkSession, cfg: SweepConfig = SweepConfig()) -> pd.DataF
     ``summarizer`` (``raw`` / ``st(lam=X)`` / ``pcst``).
     """
     if cfg.dataset == "ml1m":
-        ds = ml1m(scale=cfg.scale, seed=cfg.seed)
+        ds = ml1m(scale=cfg.scale, seed=SEED)
     else:
         from repro.kg.datasets import lfm1m
 
-        ds = lfm1m(scale=cfg.scale, seed=cfg.seed)
+        ds = lfm1m(scale=cfg.scale, seed=SEED)
     kg = dataset_kg(spark, ds)
     kg.edges.cache().count()
     kg.nodes.cache().count()
 
-    genders = sample_users(ds, cfg.n_users_per_gender, cfg.seed)
+    genders = sample_users(ds, cfg.n_users_per_gender, SEED)
     users = sorted(set(genders["M"]) | set(genders["F"]))
     ks = list(range(1, cfg.k + 1))
 
@@ -124,7 +120,7 @@ def run_sweep(spark: SparkSession, cfg: SweepConfig = SweepConfig()) -> pd.DataF
     all_paths = {}
     recommended: set[int] = set()
     for name in cfg.baselines + cfg.extra_baselines:
-        paths = BASELINES[name](spark, kg, ds.ids, users, k=cfg.k, seed=cfg.seed)
+        paths = BASELINES[name](spark, kg, ds.ids, users, k=cfg.k, seed=SEED)
         paths.cache().count()
         all_paths[name] = paths
         if name in cfg.baselines:
@@ -141,7 +137,7 @@ def run_sweep(spark: SparkSession, cfg: SweepConfig = SweepConfig()) -> pd.DataF
         summaries.extend(baseline_summaries(reqs, name, ks=ks))
         lams = cfg.lams if full else (1.0,)
         summaries.extend(
-            _summarize(spark, kg, reqs, lams=lams, ks=ks, max_hops=cfg.max_hops, tag=name)
+            _summarize(spark, kg, reqs, lams=lams, ks=ks, tag=name)
         )
         paths.unpersist()
 

@@ -56,23 +56,6 @@ class KG:
     def num_edges(self) -> int:
         return self.edges.count()
 
-    def degrees(self) -> DataFrame:
-        """Undirected degree per node: ``(id, degree)``.
-
-        Nodes with no incident edges are kept with degree 0 so density and
-        average-degree statistics see the full node set.
-        """
-        d = (
-            self.undirected()
-            .groupBy(F.col("src").alias("id"))
-            .agg(F.count("*").alias("degree"))
-        )
-        return (
-            self.nodes.select("id")
-            .join(d, "id", "left")
-            .select("id", F.coalesce("degree", F.lit(0)).alias("degree"))
-        )
-
     def node_types(self) -> dict[int, str]:
         """Driver-side ``{id: ntype}`` map (use only on small graphs/tests)."""
         return {r["id"]: r["ntype"] for r in self.nodes.collect()}

@@ -21,10 +21,11 @@ Costs are strictly positive, so hop-limited Bellman–Ford rounds converge to
 Dijkstra's answer for paths of at most ``max_hops`` edges. The path is carried
 as an array column (explanation paths are ≤3 edges, so arrays stay tiny),
 which makes Algorithm 1's path-unfolding step a column lookup. Per-summary
-Eq. 1 cost boosts arrive as a small ``(sid, src, dst, cost)`` table
-left-joined at relaxation time, so the base graph is shared by all summaries.
+Eq. 1 cost boosts arrive as a small ``(sid, src, dst, cost)`` table whose rows
+are added once per call to the shared edge table (null ``sid``), so the base
+graph is shared by all summaries and a round still runs one join.
 """
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 _EPS = 1e-9
@@ -61,19 +62,21 @@ def _relax(
         init_path.alias("path"),
     ).localCheckpoint(eager=True)
     frontier = best
+    # Shared rows have a null sid and serve every summary. A boost row never
+    # costs more than the shared row it shadows, so the round's min picks it;
+    # both carry the same path.
+    costs = edges.select(F.lit(None).alias("sid"), "src", "dst", "cost")
+    if boosts is not None:
+        costs = costs.unionByName(
+            boosts.select("sid", "src", "dst", "cost").localCheckpoint(eager=True)
+        )
 
     for _ in range(max_hops):
-        cand = frontier.alias("f").join(edges.alias("e"), F.col("f.node") == F.col("e.src"))
-        step = F.col("e.cost")
-        if boosts is not None:
-            cand = cand.join(
-                boosts.alias("b"),
-                (F.col("f.sid") == F.col("b.sid"))
-                & (F.col("e.src") == F.col("b.src"))
-                & (F.col("e.dst") == F.col("b.dst")),
-                "left",
-            )
-            step = F.coalesce(F.col("b.cost"), step)
+        cand = frontier.alias("f").join(
+            costs.alias("e"),
+            (F.col("f.node") == F.col("e.src"))
+            & (F.col("e.sid").isNull() | (F.col("e.sid") == F.col("f.sid"))),
+        )
         step_path = (
             F.concat(F.col("f.path"), F.array(F.col("e.dst")))
             if track_paths
@@ -83,7 +86,7 @@ def _relax(
             F.col("f.sid").alias("sid"),
             F.col("f.landmark").alias("landmark"),
             F.col("e.dst").alias("node"),
-            (F.col("f.dist") + step).alias("dist"),
+            (F.col("f.dist") + F.col("e.cost")).alias("dist"),
             step_path.alias("path"),
             F.lit(None).cast("double").alias("_old"),
         )
@@ -108,7 +111,6 @@ def _relax(
 
 
 def multi_landmark_paths(
-    spark: SparkSession,
     edges: DataFrame,
     sources: DataFrame,
     *,
@@ -122,8 +124,9 @@ def multi_landmark_paths(
         edges: symmetrized edge table ``(src, dst, cost)`` with ``cost > 0``.
         sources: ``(sid, landmark)`` — one row per landmark per summary.
         max_hops: maximum number of edges on any returned path.
-        boosts: optional ``(sid, src, dst, cost)`` — per-summary replacement
-            cost for specific (directed, already-symmetrized) edges.
+        boosts: optional ``(sid, src, dst, cost)`` — per-summary alternative
+            cost for (directed, already-symmetrized) edges of ``edges``. It
+            must not exceed that edge's cost in ``edges``; the cheaper wins.
 
     Returns:
         ``(sid, landmark, node, dist, path)`` where ``path`` is the node array
@@ -143,7 +146,6 @@ def multi_landmark_paths(
 
 
 def voronoi_partition(
-    spark: SparkSession,
     edges: DataFrame,
     terminals: DataFrame,
     *,

@@ -1,9 +1,8 @@
-"""KG container: symmetrization, degrees, typing. Degrees checked vs DuckDB."""
+"""KG container: symmetrization, counts, node typing."""
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.model import ETYPE_IE, ETYPE_UI, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
-from repro.oracle import assert_equivalent
 from tests.conftest import make_kg, random_kg
 
 EDGES = [
@@ -44,30 +43,6 @@ def test_undirected_preserves_weight_and_etype(kg):
 def test_counts(kg):
     assert kg.num_nodes() == 5
     assert kg.num_edges() == len(EDGES)
-
-
-def test_degrees_against_oracle(spark, kg):
-    nodes_pdf = kg.nodes.toPandas()
-    edges_pdf = kg.edges.toPandas()
-    assert_equivalent(
-        kg.degrees(),
-        """
-        SELECT n.id AS id, COALESCE(d.degree, 0) AS degree
-        FROM nodes n LEFT JOIN (
-            SELECT id, COUNT(*) AS degree FROM (
-                SELECT src AS id FROM edges UNION ALL SELECT dst AS id FROM edges
-            ) GROUP BY id
-        ) d ON n.id = d.id
-        """,
-        nodes=nodes_pdf,
-        edges=edges_pdf,
-    )
-
-
-def test_degrees_isolated_node(spark):
-    kg = make_kg(spark, [(0, 1, 1.0, ETYPE_UI)], {0: NTYPE_USER, 1: NTYPE_ITEM, 2: NTYPE_EXT})
-    degs = {r["id"]: r["degree"] for r in kg.degrees().collect()}
-    assert degs == {0: 1, 1: 1, 2: 0}
 
 
 def test_node_types_map(kg):

@@ -25,7 +25,7 @@ def test_distances_match_networkx(spark, seed):
     h = _nx_cost(nx_of(kg))
     landmarks = sorted(h.nodes)[:3]
     sources = spark.createDataFrame([(0, l) for l in landmarks], "sid: int, landmark: long")
-    res = multi_landmark_paths(spark, _cost_edges(kg), sources, max_hops=12)
+    res = multi_landmark_paths(_cost_edges(kg), sources, max_hops=12)
     got = {(r["landmark"], r["node"]): r["dist"] for r in res.collect()}
     for l in landmarks:
         expect = nx.single_source_dijkstra_path_length(h, l)
@@ -43,7 +43,7 @@ def test_paths_are_valid_walks_with_matching_cost(spark, seed):
         for r in kg.edges.collect()
     }
     sources = spark.createDataFrame([(0, 0)], "sid: int, landmark: long")
-    res = multi_landmark_paths(spark, _cost_edges(kg), sources, max_hops=12)
+    res = multi_landmark_paths(_cost_edges(kg), sources, max_hops=12)
     for r in res.collect():
         p = list(r["path"])
         assert p[0] == 0 and p[-1] == r["node"]
@@ -62,7 +62,7 @@ def test_hop_limit_restricts_reach(spark):
     kg = make_kg(spark, [(i, i + 1, 1.0, "ui") for i in range(4)])
     edges = kg.undirected().select("src", "dst", F.lit(1.0).alias("cost"))
     sources = spark.createDataFrame([(0, 0)], "sid: int, landmark: long")
-    res = multi_landmark_paths(spark, edges, sources, max_hops=2)
+    res = multi_landmark_paths(edges, sources, max_hops=2)
     reached = {r["node"] for r in res.collect()}
     assert reached == {0, 1, 2}
 
@@ -99,7 +99,7 @@ def test_hop_limited_distances_with_boosts(spark, seed, max_hops):
     boosts = spark.createDataFrame(
         [("x", a, b, 0.05) for a, b in boosted], "sid: string, src: long, dst: long, cost: double"
     )
-    res = multi_landmark_paths(spark, edges, sources, max_hops=max_hops, boosts=boosts)
+    res = multi_landmark_paths(edges, sources, max_hops=max_hops, boosts=boosts)
     got = {(r["sid"], r["landmark"], r["node"]): r["dist"] for r in res.collect()}
     expect, binds = {}, False
     for sid, c in cost.items():
@@ -122,7 +122,7 @@ def test_multiple_sids_are_independent(spark):
     sources = spark.createDataFrame(
         [("a", 0), ("b", 2)], "sid: string, landmark: long"
     )
-    res = multi_landmark_paths(spark, edges, sources, max_hops=4)
+    res = multi_landmark_paths(edges, sources, max_hops=4)
     rows = {(r["sid"], r["node"]): r["dist"] for r in res.collect()}
     assert rows[("a", 2)] == 2.0 and rows[("b", 0)] == 2.0
     assert ("a", 0) in rows and ("b", 2) in rows
@@ -130,7 +130,8 @@ def test_multiple_sids_are_independent(spark):
 
 def test_boost_reroutes_shortest_path(spark):
     # Triangle: 0-1 (cost 2.5 direct) vs 0-2-1 (cost 1+1); boosting 0-1 to
-    # 0.5 for sid "x" flips the choice for that sid only.
+    # 0.5 for sid "x" flips the choice for that sid only. A second, costlier
+    # boost row for the same edge must not win over the cheaper one.
     from tests.conftest import make_kg
 
     kg = make_kg(spark, [(0, 1, 1.0, "ui"), (0, 2, 1.0, "ui"), (2, 1, 1.0, "ui")])
@@ -141,9 +142,10 @@ def test_boost_reroutes_shortest_path(spark):
     )
     sources = spark.createDataFrame([("x", 0), ("y", 0)], "sid: string, landmark: long")
     boosts = spark.createDataFrame(
-        [("x", 0, 1, 0.5), ("x", 1, 0, 0.5)], "sid: string, src: long, dst: long, cost: double"
+        [("x", 0, 1, 0.5), ("x", 0, 1, 0.9), ("x", 1, 0, 0.5)],
+        "sid: string, src: long, dst: long, cost: double",
     )
-    res = multi_landmark_paths(spark, edges, sources, max_hops=4, boosts=boosts)
+    res = multi_landmark_paths(edges, sources, max_hops=4, boosts=boosts)
     rows = {(r["sid"], r["node"]): (r["dist"], list(r["path"])) for r in res.collect()}
     assert rows[("x", 1)] == (0.5, [0, 1])
     assert rows[("y", 1)] == (2.0, [0, 2, 1])
@@ -158,7 +160,7 @@ def test_deterministic_tie_break(spark):
     edges = kg.undirected().select("src", "dst", F.lit(1.0).alias("cost"))
     sources = spark.createDataFrame([(0, 0)], "sid: int, landmark: long")
     for _ in range(2):
-        res = multi_landmark_paths(spark, edges, sources, max_hops=4)
+        res = multi_landmark_paths(edges, sources, max_hops=4)
         row = [r for r in res.collect() if r["node"] == 3][0]
         assert list(row["path"]) == [0, 1, 3]
 
@@ -185,10 +187,10 @@ def test_rows_do_not_depend_on_shuffle_partitions(spark, which):
     kg = random_kg(spark, n=12, m=22, seed=7)
     edges, sources, boosts = _boosted_inputs(spark, kg)
     if which == "multi_landmark_paths":
-        run = lambda: multi_landmark_paths(spark, edges, sources, max_hops=6, boosts=boosts)
+        run = lambda: multi_landmark_paths(edges, sources, max_hops=6, boosts=boosts)
     else:
         terminals = sources.withColumnRenamed("landmark", "terminal")
-        run = lambda: voronoi_partition(spark, edges, terminals, max_hops=6)
+        run = lambda: voronoi_partition(edges, terminals, max_hops=6)
     settings = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
     before = {k: spark.conf.get(k) for k in settings}
     got = {}
@@ -216,9 +218,9 @@ def test_voronoi_cell_is_nearest_landmark(spark, seed):
         [(0, 1), (0, 6), (0, 11), (1, 3), (1, 9)], "sid: int, landmark: long"
     )
     nearest = {}
-    for r in multi_landmark_paths(spark, edges, sources, max_hops=12).collect():
+    for r in multi_landmark_paths(edges, sources, max_hops=12).collect():
         k = (r["sid"], r["node"])
         nearest[k] = min(nearest.get(k, (float("inf"), -1)), (r["dist"], r["landmark"]))
     terminals = sources.withColumnRenamed("landmark", "terminal")
-    cells = voronoi_partition(spark, edges, terminals, max_hops=12).collect()
+    cells = voronoi_partition(edges, terminals, max_hops=12).collect()
     assert {(r["sid"], r["node"]): (r["dist"], r["root"]) for r in cells} == nearest

@@ -104,6 +104,36 @@ def test_lambda_zero_means_no_effective_boost(spark):
         assert r["cost"] == pytest.approx(base[(r["src"], r["dst"])])
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 100.0])
+def test_boost_never_costs_more_than_base(spark, ml1m_lite, lite_requests, lam):
+    # The SSSP kernel keeps the cheaper of a boost row and the shared row it
+    # shadows, so a boost must never cost more (and equal it at λ = 0).
+    _, kg = ml1m_lite
+    w_cap = w_cap_for(kg, lam)
+    k = max(r.k_max() for r in lite_requests)
+    boosts = boost_table(spark, kg, lite_requests, lam=lam, w_cap=w_cap, k=k).collect()
+    base_rows = base_cost_edges(kg, w_cap).collect()
+    base = {(r["src"], r["dst"]): r["cost"] for r in base_rows}
+    assert len(base) == len(base_rows) and boosts
+    for r in boosts:
+        if lam == 0.0:
+            assert r["cost"] == base[(r["src"], r["dst"])]
+        else:
+            assert r["cost"] <= base[(r["src"], r["dst"])]
+
+
+def test_negative_lambda_is_rejected(spark):
+    kg = make_kg(spark, [(0, 1, 2.0, ETYPE_UI)])
+    with pytest.raises(ValueError, match="lam"):
+        w_cap_for(kg, lam=-0.5)
+
+
+def test_negative_weight_is_rejected(spark):
+    kg = make_kg(spark, [(0, 1, 2.0, ETYPE_UI), (1, 2, -1.0, ETYPE_UI)])
+    with pytest.raises(ValueError, match="weight"):
+        w_cap_for(kg, lam=1.0)
+
+
 def test_empty_requests_give_no_boost_table(spark):
     kg = make_kg(spark, [(0, 1, 2.0, ETYPE_UI)])
     req = SummaryRequest(
