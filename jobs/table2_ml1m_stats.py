@@ -34,7 +34,7 @@ def run(spark, *, scale=1.0, seed=11, landmarks=48):
     kg = dataset_kg(spark, ds)
     kg.edges.cache().count()
     s = graph_stats(kg)
-    apl, diam = path_length_stats(spark, kg, n_landmarks=landmarks, max_hops=12)
+    apl, diam = path_length_stats(kg, n_landmarks=landmarks, max_hops=12)
     return s, apl, diam
 
 

@@ -66,7 +66,7 @@ def pcst_summaries(
     u, v = cells.alias("u"), cells.alias("v")
     und = kg.undirected().select("src", "dst").where(F.col("src") < F.col("dst"))
     cand = (
-        und.join(u, F.col("src") == F.col("u.node"))
+        F.broadcast(und).join(u, F.col("src") == F.col("u.node"))
         .join(v, (F.col("dst") == F.col("v.node")) & (F.col("u.sid") == F.col("v.sid")))
         .where(F.col("u.root") != F.col("v.root"))
         .select(

@@ -5,11 +5,14 @@ Stage split between Spark and the driver:
 1. **Metric closure (Spark)** — one batched multi-landmark shortest-path run
    serves every request: landmarks are all terminals of all requests, and the
    per-request Eq. 1 boost rides along as a small table of alternative edge
-   costs, never above the shared ones (see :mod:`repro.graph.sssp`). Paths
-   are carried as array columns, so Algorithm 1's "replace closure edge with
-   its shortest path" step is a column lookup. Rows are filtered to terminal→terminal pairs *before*
-   collection, and only from the smaller terminal to the larger: costs and
-   hop limits are symmetric, so each closure pair reaches the driver once.
+   costs, never above the shared ones (see :mod:`repro.graph.sssp`). Each
+   round broadcasts that one edge table, so the growing state never shuffles
+   for the join. Paths are carried as array columns, so Algorithm 1's
+   "replace closure edge with its shortest path" step is a column lookup.
+   Rows are filtered to terminal→terminal pairs *before* collection, by a
+   join against the broadcast terminal list, and only from the smaller
+   terminal to the larger: costs and hop limits are symmetric, so each
+   closure pair reaches the driver once.
 2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: the
    closure MST is PCST's cluster merge with unlimited prizes, i.e. Kruskal
    over the k-restricted closure (:func:`repro.core.summary._merge_phase`);
@@ -103,7 +106,7 @@ def steiner_summaries(
     # Keep only terminal→terminal rows, once per pair: that's the metric closure.
     members = sources.select("sid", F.col("landmark").alias("node")).distinct()
     closure = _collect_pairs(
-        reach.join(members, ["sid", "node"])
+        reach.join(F.broadcast(members), ["sid", "node"])
         .where(F.col("landmark") < F.col("node"))
         .select(
             "sid",

@@ -95,6 +95,6 @@ def boost_table(
     freq = spark.createDataFrame(freq_pdf)
     und = kg.undirected().select("src", "dst", "weight")
     boosted_w = F.col("weight") * (1.0 + lam * F.col("freq") / F.col("n_s"))
-    return freq.join(und, ["src", "dst"]).select(
+    return F.broadcast(freq).join(und, ["src", "dst"]).select(
         "sid", "src", "dst", cost_expr(boosted_w, w_cap).alias("cost")
     )

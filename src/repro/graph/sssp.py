@@ -24,6 +24,12 @@ which makes Algorithm 1's path-unfolding step a column lookup. Per-summary
 Eq. 1 cost boosts arrive as a small ``(sid, src, dst, cost)`` table whose rows
 are added once per call to the shared edge table (null ``sid``), so the base
 graph is shared by all summaries and a round still runs one join.
+
+That edge table is the same in every round, so it is checkpointed once per
+call and broadcast into each round's join: the frontier, whose rows carry the
+path arrays, stays where the previous aggregate left it and crosses only the
+aggregate's shuffle. The session turns broadcast autotuning off
+(:mod:`repro.runtime`), so the hint is explicit.
 """
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -47,9 +53,12 @@ def _relax(
     deterministic; ``landmark`` is constant within a group when it is part
     of the key.
 
-    Each round is one aggregate, checkpointed once. Its ``min(_old)`` is the
-    key's distance before the round (candidate rows carry null); the next
-    frontier is the rows that are new or beat it by more than ``_EPS``.
+    The edge table (shared rows plus ``boosts``) is checkpointed once and
+    broadcast into every round's join. Each round is one aggregate,
+    checkpointed once. Its ``min(_old)`` is the key's distance before the
+    round (candidate rows carry null); the next frontier is the rows that are
+    new or beat it by more than ``_EPS``. An empty frontier ends the loop
+    early; the last round does not test for it.
     """
     init_path = (
         F.array(F.col("landmark")) if track_paths else F.array().cast("array<long>")
@@ -67,11 +76,10 @@ def _relax(
     # both carry the same path.
     costs = edges.select(F.lit(None).alias("sid"), "src", "dst", "cost")
     if boosts is not None:
-        costs = costs.unionByName(
-            boosts.select("sid", "src", "dst", "cost").localCheckpoint(eager=True)
-        )
+        costs = costs.unionByName(boosts.select("sid", "src", "dst", "cost"))
+    costs = F.broadcast(costs.localCheckpoint(eager=True))
 
-    for _ in range(max_hops):
+    for hop in range(1, max_hops + 1):
         cand = frontier.alias("f").join(
             costs.alias("e"),
             (F.col("f.node") == F.col("e.src"))
@@ -105,7 +113,7 @@ def _relax(
         frontier = merged.where(
             F.col("_old").isNull() | (F.col("dist") < F.col("_old") - _EPS)
         ).drop("_old")
-        if frontier.isEmpty():
+        if hop < max_hops and frontier.isEmpty():
             break
     return best
 

@@ -10,7 +10,6 @@ is tight in practice on small-diameter graphs.
 """
 from dataclasses import dataclass
 
-from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.model import (
@@ -80,7 +79,6 @@ def graph_stats(kg: KG) -> GraphStats:
 
 
 def path_length_stats(
-    spark: SparkSession,
     kg: KG,
     *,
     n_landmarks: int = 48,

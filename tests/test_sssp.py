@@ -224,3 +224,30 @@ def test_voronoi_cell_is_nearest_landmark(spark, seed):
     terminals = sources.withColumnRenamed("landmark", "terminal")
     cells = voronoi_partition(edges, terminals, max_hops=12).collect()
     assert {(r["sid"], r["node"]): (r["dist"], r["root"]) for r in cells} == nearest
+
+
+@pytest.mark.parametrize("which", ["multi_landmark_paths", "voronoi_partition"])
+def test_round_jobs(spark, which):
+    # A round is the edge table's broadcast, the aggregate's shuffle, its
+    # checkpoint and the convergence probe: each extra hop adds at most 4 jobs.
+    kg = random_kg(spark, n=30, m=60, seed=0)
+    edges, sources, boosts = _boosted_inputs(spark, kg)
+    terminals = sources.withColumnRenamed("landmark", "terminal")
+    sc = spark.sparkContext
+    props = ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel")
+    before = {k: sc.getLocalProperty(k) for k in props}
+    jobs = []
+    try:
+        for max_hops in range(1, 5):
+            group = f"test-round-jobs-{which}-{max_hops}"
+            sc.setJobGroup(group, group)
+            if which == "multi_landmark_paths":
+                multi_landmark_paths(edges, sources, max_hops=max_hops, boosts=boosts)
+            else:
+                voronoi_partition(edges, terminals, max_hops=max_hops)
+            sc._jsc.sc().listenerBus().waitUntilEmpty()
+            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+    finally:
+        for k, v in before.items():
+            sc.setLocalProperty(k, v)
+    assert all(b - a <= 4 for a, b in zip(jobs, jobs[1:])), jobs

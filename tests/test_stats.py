@@ -56,7 +56,7 @@ def test_edge_type_counts_against_oracle(spark, kg):
 def test_path_stats_match_networkx_exactly_on_full_sample(spark, kg):
     # With landmarks >= |V| the sampled BFS is exhaustive from each landmark.
     g = nx_of(kg)
-    avg, diam = path_length_stats(spark, kg, n_landmarks=6, max_hops=10, seed=0)
+    avg, diam = path_length_stats(kg, n_landmarks=6, max_hops=10, seed=0)
     assert diam == nx.diameter(g)
     # avg over sampled sources is the true all-pairs average here
     expect = nx.average_shortest_path_length(g)
@@ -70,5 +70,5 @@ def test_diameter_estimate_bounded_by_true_max_eccentricity(spark, seed):
     true_max = max(
         nx.diameter(g.subgraph(c)) for c in nx.connected_components(g) if len(c) > 1
     )
-    _, diam = path_length_stats(spark, kg, n_landmarks=14, max_hops=12, seed=1)
+    _, diam = path_length_stats(kg, n_landmarks=14, max_hops=12, seed=1)
     assert 1 <= diam <= true_max
