@@ -2,17 +2,20 @@
 
 Stage split between Spark and the driver:
 
-1. **Metric closure (Spark)** — one batched multi-landmark shortest-path run
-   serves every request: landmarks are all terminals of all requests, and the
+1. **Metric closure (Spark)** — batched multi-landmark shortest-path runs
+   serve every request: landmarks are all terminals of all requests, and the
    per-request Eq. 1 boost rides along as a small table of alternative edge
-   costs, never above the shared ones (see :mod:`repro.graph.sssp`). Each
-   round broadcasts that one edge table, so the growing state never shuffles
-   for the join. Paths are carried as array columns, so Algorithm 1's
-   "replace closure edge with its shortest path" step is a column lookup.
-   Rows are filtered to terminal→terminal pairs *before* collection, by a
-   join against the broadcast terminal list, and only from the smaller
-   terminal to the larger: costs and hop limits are symmetric, so each
-   closure pair reaches the driver once.
+   costs, never above the shared ones (see :mod:`repro.graph.sssp`). Only
+   terminal→terminal distances are needed, so the search meets in the middle
+   (bidirectional search, Pohl 1971): every path of at most ``max_hops`` = H
+   edges splits at a node into a ≤⌈H/2⌉ half from one terminal and a
+   ≤⌊H/2⌋ half from the other. The kernel relaxes ⌈H/2⌉ rounds (plus a
+   ⌊H/2⌋-round run when H is odd), and one join on ``(sid, node)`` pairs
+   each smaller terminal's half with each larger terminal's half; the
+   cheapest meeting per pair is its closure edge. Costs are symmetric, so
+   each closure pair reaches the driver once, from the smaller terminal.
+   Paths are carried as array columns, so Algorithm 1's "replace closure
+   edge with its shortest path" step is a concatenation of the two halves.
 2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: the
    closure MST is PCST's cluster merge with unlimited prizes, i.e. Kruskal
    over the k-restricted closure (:func:`repro.core.summary._merge_phase`);
@@ -26,7 +29,7 @@ weakly connected, which the problem definition requires).
 """
 from collections import defaultdict
 
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
@@ -36,6 +39,44 @@ from repro.graph.model import KG
 from repro.graph.sssp import multi_landmark_paths
 
 _INF = float("inf")
+
+
+def _metric_closure(
+    edges: DataFrame, sources: DataFrame, *, max_hops: int, boosts: DataFrame | None
+) -> DataFrame:
+    """``(sid, ra, rb, cost, path)``: the ≤``max_hops`` shortest path between
+    every pair ``ra < rb`` of a summary's terminals, met in the middle.
+
+    A path of h hops from ``ra`` splits at hop ``min(⌈H/2⌉, h)``, so ``ra``'s
+    ⌈H/2⌉-hop half joined with ``rb``'s ⌊H/2⌋-hop half at a shared node
+    covers it. The join emits Σ c² rows over nodes with c same-summary
+    halves, so it takes one orientation only. Ties in cost go to the
+    smaller path array.
+    """
+    near = multi_landmark_paths(edges, sources, max_hops=(max_hops + 1) // 2, boosts=boosts)
+    far = (
+        near
+        if max_hops % 2 == 0
+        else multi_landmark_paths(edges, sources, max_hops=max_hops // 2, boosts=boosts)
+    )
+    a = near.toDF("sid", "ra", "node", "da", "pa")
+    b = far.toDF("sid", "rb", "node", "db", "pb")
+    # b's path runs rb → node; reversed and without the meeting node it ends ra's.
+    tail = F.slice(F.reverse("pb"), 2, F.size("pb"))
+    return (
+        a.join(b, ["sid", "node"])
+        .where(F.col("ra") < F.col("rb"))
+        .groupBy("sid", "ra", "rb")
+        .agg(
+            F.min(
+                F.struct(
+                    (F.col("da") + F.col("db")).alias("cost"),
+                    F.concat("pa", tail).alias("path"),
+                )
+            ).alias("_m")
+        )
+        .select("sid", "ra", "rb", "_m.cost", "_m.path")
+    )
 
 
 def _closure_mst(
@@ -101,21 +142,7 @@ def steiner_summaries(
 
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
     sources = spark.createDataFrame(term_rows, "sid: string, landmark: long")
-    reach = multi_landmark_paths(edges, sources, max_hops=max_hops, boosts=boosts)
-
-    # Keep only terminal→terminal rows, once per pair: that's the metric closure.
-    members = sources.select("sid", F.col("landmark").alias("node")).distinct()
-    closure = _collect_pairs(
-        reach.join(F.broadcast(members), ["sid", "node"])
-        .where(F.col("landmark") < F.col("node"))
-        .select(
-            "sid",
-            F.col("landmark").alias("ra"),
-            F.col("node").alias("rb"),
-            F.col("dist").alias("cost"),
-            "path",
-        )
-    )
+    closure = _collect_pairs(_metric_closure(edges, sources, max_hops=max_hops, boosts=boosts))
 
     out: list[Summary] = []
     for req in requests:

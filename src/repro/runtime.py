@@ -7,8 +7,8 @@ Arrow on) and job results match test expectations.
 Broadcast autotuning stays off (``autoBroadcastJoinThreshold=-1``): Spark
 picks no broadcast on its own. The summarize path places explicit
 ``F.broadcast`` hints on its fixed sides instead: the relaxation kernel's
-edge table, ST's terminal list, the Eq. 1 path-edge frequencies and PCST's
-boundary edges. Letting Spark choose is slower without the hints: a warm ST
+edge table, the Eq. 1 path-edge frequencies and PCST's boundary edges (ST's
+closure pair join broadcasts neither side: both are closure state). Letting Spark choose is slower without the hints: a warm ST
 call on the benchmark's synth-user inputs (seed 31, 4 cores) took 5.07 s
 with the default 10 MB threshold against 4.39 s with ``-1`` (medians of 6).
 With the hints in place the two settings time the same (2.33 s vs 2.41 s).

@@ -6,7 +6,7 @@ from pyspark.sql import functions as F
 from repro.graph.stats import graph_stats, path_length_stats
 from repro.oracle import assert_equivalent
 from tests.conftest import make_kg, nx_of, random_kg
-from repro.graph.model import ETYPE_IE, ETYPE_UI, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
+from repro.graph.model import ETYPE_IE, ETYPE_UI, KG, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
 
 EDGES = [
     (0, 2, 4.0, ETYPE_UI),
@@ -72,3 +72,14 @@ def test_diameter_estimate_bounded_by_true_max_eccentricity(spark, seed):
     )
     _, diam = path_length_stats(kg, n_landmarks=14, max_hops=12, seed=1)
     assert 1 <= diam <= true_max
+
+
+def test_path_stats_do_not_depend_on_node_partitioning(spark):
+    kg = random_kg(spark, n=40, m=70, seed=3)
+    got = {
+        n: path_length_stats(
+            KG(nodes=kg.nodes.repartition(n), edges=kg.edges), n_landmarks=5, max_hops=12, seed=4
+        )
+        for n in (1, 8)
+    }
+    assert got[1] == got[8]

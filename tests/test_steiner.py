@@ -2,11 +2,14 @@
 from itertools import chain, combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.core import steiner
 from repro.core.pcst import pcst_summaries
 from repro.core.scenarios import SummaryRequest, user_group_requests
-from repro.core.steiner import steiner_summaries
+from repro.core.steiner import _metric_closure, steiner_summaries
+from repro.core.summary import _collect_pairs
 from repro.core.weights import COST_EPS, w_cap_for
 from repro.graph.model import ETYPE_UI
 from tests.conftest import make_kg, nx_of, random_kg
@@ -207,3 +210,115 @@ def test_summaries_do_not_depend_on_shuffle_partitions(
         spark.conf.set("spark.sql.shuffle.partitions", before)
     assert got[1] == got[4] == got[64]
     assert any(edges for _, _, edges, _ in got[1])
+
+
+def _hop_limited_bellman_ford(costs: dict, source: int, max_hops: int) -> dict:
+    """Distances from ``source`` over directed ``costs`` using ≤ ``max_hops`` edges."""
+    dist = {source: 0.0}
+    for _ in range(max_hops):
+        nxt = dict(dist)
+        for (u, v), c in costs.items():
+            if u in dist and dist[u] + c < nxt.get(v, float("inf")):
+                nxt[v] = dist[u] + c
+        dist = nxt
+    return dist
+
+
+def _check_closure(spark, edges, boosts, terminals, max_hops):
+    """ST's closure equals a hop-limited Bellman–Ford per summary, pair by pair.
+
+    ``edges`` is undirected ``{(u, v): cost}``, ``boosts`` ``{sid: {(u, v):
+    cost}}`` (never above the shared cost), ``terminals`` ``{sid: [nodes]}``.
+    """
+    shared = {}
+    for (u, v), c in edges.items():
+        shared[(u, v)] = shared[(v, u)] = c
+    boost_rows = [
+        (sid, a, b, c) for sid, bs in boosts.items() for (u, v), c in bs.items()
+        for a, b in ((u, v), (v, u))
+    ]
+    got = _collect_pairs(
+        _metric_closure(
+            spark.createDataFrame(
+                [(u, v, c) for (u, v), c in shared.items()], "src: long, dst: long, cost: double"
+            ),
+            spark.createDataFrame(
+                [(sid, t) for sid, ts in terminals.items() for t in ts],
+                "sid: string, landmark: long",
+            ),
+            max_hops=max_hops,
+            boosts=spark.createDataFrame(
+                boost_rows, "sid: string, src: long, dst: long, cost: double"
+            ),
+        )
+    )
+    for sid, ts in terminals.items():
+        costs = dict(shared)
+        for (u, v), c in boosts.get(sid, {}).items():
+            costs[(u, v)] = costs[(v, u)] = min(c, shared[(u, v)])
+        want = {}
+        for x in ts:
+            dist = _hop_limited_bellman_ford(costs, x, max_hops)
+            want.update({(x, y): dist[y] for y in ts if x < y and y in dist})
+        by_pair = {(ra, rb): (cost, path) for cost, ra, rb, path in got.get(sid, [])}
+        assert set(by_pair) == set(want), sid
+        for (x, y), (cost, path) in by_pair.items():
+            assert cost == pytest.approx(want[(x, y)], rel=0, abs=1e-12)
+            assert path[0] == x and path[-1] == y
+            assert len(path) - 1 <= max_hops and len(set(path)) == len(path)
+            walk = sum(costs[(u, v)] for u, v in zip(path, path[1:]))
+            assert walk == pytest.approx(cost, rel=0, abs=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4, 5, 6])
+def test_closure_matches_hop_limited_bellman_ford(spark, max_hops):
+    rng = np.random.default_rng(100 + max_hops)
+    n = 16
+    edges = {}
+    while len(edges) < 26:
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges[(u, v)] = float(rng.uniform(0.5, 5.0))
+    boosted = list(edges)
+    boosts = {
+        sid: {
+            boosted[i]: edges[boosted[i]] * float(rng.uniform(0.2, 1.0))
+            for i in rng.choice(len(boosted), size=8, replace=False)
+        }
+        for sid in ("a", "b")
+    }
+    terminals = {"a": [0, 3, 5, 8, 11, 14], "b": [1, 3, 6, 8, 15]}
+    got = _check_closure(spark, edges, boosts, terminals, max_hops)
+    assert got, "no closure pair at all"
+
+
+@pytest.mark.parametrize("max_hops", [3, 4])
+def test_closure_respects_the_hop_limit(spark, max_hops):
+    # 0-1-2 costs 10 in 2 hops, 0-3-4-5-2 costs 4 in 4 hops; 6 hangs off 5.
+    edges = {(0, 1): 5.0, (1, 2): 5.0, (2, 5): 1.0, (5, 6): 1.0}
+    edges.update({(0, 3): 1.0, (3, 4): 1.0, (4, 5): 1.0})
+    got = _check_closure(spark, edges, {"s": {(1, 2): 4.0}}, {"s": [0, 2, 6]}, max_hops)
+    pairs = {(ra, rb): (cost, path) for cost, ra, rb, path in got["s"]}
+    if max_hops == 3:
+        assert pairs[(0, 2)] == (9.0, (0, 1, 2))
+        assert (0, 6) not in pairs  # 0-3-4-5-6 and 0-1-2-5-6 are 4 hops
+    else:
+        assert pairs[(0, 2)] == (4.0, (0, 3, 4, 5, 2))
+        assert pairs[(0, 6)] == (4.0, (0, 3, 4, 5, 6))
+    assert pairs[(2, 6)] == (2.0, (2, 5, 6))
+
+
+@pytest.mark.parametrize("max_hops, rounds", [(4, [2]), (5, [3, 2])])
+def test_closure_relaxes_half_the_hops(spark, monkeypatch, max_hops, rounds):
+    kernel = steiner.multi_landmark_paths
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["max_hops"])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(steiner, "multi_landmark_paths", spy)
+    kg = make_kg(spark, [(a, a + 1, 1.0, ETYPE_UI) for a in range(5)])
+    (s,) = steiner_summaries(spark, kg, [_req([0, 5])], lam=0.0, max_hops=max_hops)
+    assert seen == rounds
+    assert set(s.edges) == ({(a, a + 1) for a in range(5)} if max_hops == 5 else set())
