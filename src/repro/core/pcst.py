@@ -28,6 +28,7 @@ at smaller ``k`` the excluded terminals keep prize 0 and act only as relays.
 """
 from collections import defaultdict
 
+import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
@@ -58,7 +59,9 @@ def pcst_summaries(
     ks = ks or [k_top]
 
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
-    terminals_df = spark.createDataFrame(term_rows, "sid: string, terminal: long")
+    terminals_df = spark.createDataFrame(
+        pd.DataFrame(term_rows, columns=["sid", "terminal"]), "sid: string, terminal: long"
+    )
     edges = kg.undirected().select("src", "dst", F.lit(EDGE_COST).alias("cost"))
     cells = voronoi_partition(edges, terminals_df, max_hops=max_hops)
 

@@ -29,6 +29,7 @@ weakly connected, which the problem definition requires).
 """
 from collections import defaultdict
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -141,7 +142,9 @@ def steiner_summaries(
     boosts = boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top)
 
     term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
-    sources = spark.createDataFrame(term_rows, "sid: string, landmark: long")
+    sources = spark.createDataFrame(
+        pd.DataFrame(term_rows, columns=["sid", "landmark"]), "sid: string, landmark: long"
+    )
     closure = _collect_pairs(_metric_closure(edges, sources, max_hops=max_hops, boosts=boosts))
 
     out: list[Summary] = []

@@ -69,11 +69,15 @@ def _merge_phase(
     """Greedy prize-budgeted merging; returns (dsu, accepted merge paths).
 
     With ``prize=inf`` every merge pays for itself: this is Kruskal's MST.
+    Candidates are taken in ``(cost, ra, rb)`` order with the cost rounded to
+    9 decimals, so two costs that are equal in exact arithmetic but summed in
+    a different order (3.5999999999999996 vs 3.6) tie and ``(ra, rb)``
+    decides, not the rounding of the sum.
     """
     dsu = _DSU()
     budget = {t: (prize if t in terminals_k else 0.0) for t in all_terminals}
     accepted: list[tuple[int, int, tuple[int, ...]]] = []
-    for cost, ra, rb, path in sorted(cands, key=lambda c: (c[0], c[1], c[2])):
+    for cost, ra, rb, path in sorted(cands, key=lambda c: (round(c[0], 9), c[1], c[2])):
         fa, fb = dsu.find(ra), dsu.find(rb)
         if fa == fb:
             continue

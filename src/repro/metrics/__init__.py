@@ -1,9 +1,9 @@
-"""Evaluation metrics (Section V-B) as Spark batch aggregations.
+"""Evaluation metrics (Section V-B) over a batch of summaries.
 
 ``quality`` computes all seven quality metrics for every summary in one pass
-over three batched DataFrames (summary meta, edge occurrences, node
-memberships); ``reference`` holds the naive pandas/pure-Python definitions
-the Spark versions are cross-checked against in tests.
+over three batched frames (summary meta, edge occurrences, node memberships):
+two KG lookups in Spark, the per-summary algebra in pandas; ``reference``
+holds the naive pure-Python definitions it is cross-checked against in tests.
 """
 from repro.metrics.quality import compute_quality
 

@@ -12,6 +12,7 @@ recommender is reproducible. Greedy policies (PGPR/CAFE) use
 ``temperature ≈ 0``; sampled policies (PLM/PEARLM) use a high temperature;
 the random walker (Table III synthetic paths) sets ``weight_coef = 0``.
 """
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
@@ -54,7 +55,7 @@ def recommend_paths(
     hallucinated final hops (PLM). Already-rated items are never recommended.
     """
     b1, b2, b3 = beams
-    users_df = spark.createDataFrame([(int(u),) for u in users], "user: long")
+    users_df = spark.createDataFrame(pd.DataFrame({"user": [int(u) for u in users]}), "user: long")
     ui = kg.edges.where(F.col("etype") == ETYPE_UI).select("src", "dst", "weight")
     ie = kg.edges.where(F.col("etype") == ETYPE_IE).select("src", "dst", "weight")
 

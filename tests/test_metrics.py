@@ -1,9 +1,8 @@
-"""Spark batch metrics vs naive references, plus DuckDB oracle checks."""
+"""Quality metrics vs naive references, plus DuckDB oracle checks."""
 from dataclasses import replace
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
 from repro.core.summary import Summary, summary_from_paths
@@ -140,17 +139,11 @@ def test_hallucinated_edges_score_zero_relevance(spark, kg):
     assert pdf.iloc[0]["relevance"] == pytest.approx(4.0)
 
 
-def test_node_metric_aggregation_against_oracle(spark, kg, scored):
-    summaries, _ = scored
+def test_node_metric_aggregation_against_oracle(kg, scored):
+    summaries, pdf = scored
     frames = summary_frames(summaries)
-    nodes = spark.createDataFrame(frames["nodes"]).join(
-        kg.nodes.select(F.col("id").alias("node"), "ntype"), "node", "left"
-    )
-    got = nodes.groupBy("rid").agg(
-        (F.sum(F.when(F.col("ntype") == NTYPE_ITEM, 1).otherwise(0)) / F.count("*")).alias("a")
-    )
     assert_equivalent(
-        got,
+        pdf[["rid", "actionability"]].rename(columns={"actionability": "a"}),
         """
         SELECT n.rid AS rid,
                SUM(CASE WHEN t.ntype = 'item' THEN 1 ELSE 0 END) * 1.0 / COUNT(*) AS a
@@ -162,16 +155,33 @@ def test_node_metric_aggregation_against_oracle(spark, kg, scored):
     )
 
 
-def test_edge_count_aggregation_against_oracle(spark, kg, scored):
-    summaries, _ = scored
+def test_edge_count_aggregation_against_oracle(scored):
+    summaries, pdf = scored
     frames = summary_frames(summaries)
-    edges = spark.createDataFrame(frames["edges"])
-    got = edges.groupBy("rid").agg(F.count("*").alias("n_edges"))
     assert_equivalent(
-        got,
+        pdf[["rid", "n_edges"]],
         "SELECT rid, COUNT(*) AS n_edges FROM edges GROUP BY rid",
         edges=frames["edges"],
     )
+
+
+def test_quality_jobs(spark, kg, scored):
+    # One weight lookup and one type lookup, each a broadcast of the wanted
+    # keys and a collect; the per-summary metrics run no Spark job.
+    summaries, _ = scored
+    sc = spark.sparkContext
+    props = ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel")
+    before = {k: sc.getLocalProperty(k) for k in props}
+    group = "test-quality-jobs"
+    try:
+        sc.setJobGroup(group, group)
+        compute_quality(spark, kg, summaries)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    finally:
+        for k, v in before.items():
+            sc.setLocalProperty(k, v)
+    assert 0 < jobs <= 6, jobs
 
 
 def test_aggregate_quality_means(scored):
@@ -181,18 +191,48 @@ def test_aggregate_quality_means(scored):
     assert st1["comprehensibility"] == pytest.approx(1 / 3)
 
 
-def test_diversity_closed_form_on_lite_summaries(spark, ml1m_lite, lite_summaries):
-    # Cross-check the degree-formula diversity on real summaries of all kinds.
+def test_every_metric_matches_reference_on_lite_summaries(spark, ml1m_lite, lite_summaries):
+    # ST, PCST and baseline summaries of every k, an empty summary, and a
+    # summary with a node (and so an edge) that is not in the KG.
     _, kg = ml1m_lite
-    sample = (
-        lite_summaries["st"][:4] + lite_summaries["pcst"][:4] + lite_summaries["baseline"][:4]
-    )
-    pdf = compute_quality(spark, kg, sample)
+    ntypes = kg.node_types()
+    weights: dict[tuple[int, int], float] = {}
+    for r in kg.edges.collect():
+        e = (min(r["src"], r["dst"]), max(r["src"], r["dst"]))
+        weights[e] = max(weights.get(e, r["weight"]), r["weight"])
+    real = next(iter(lite_summaries["st"][0].nodes))
+    ghost = max(ntypes) + 1
+    extra = [
+        _summary(sid="user:empty", method="pgpr", edges=(), paths=()),
+        _summary(sid="user:ghost", method="pgpr", edges=((real, ghost),), paths=((real, ghost),)),
+    ]
+    sample = [s for v in lite_summaries.values() for s in v] + extra
+    pdf = compute_quality(spark, kg, sample).set_index("rid")
+    assert len(pdf) == len(sample)
+    by_cell = {(s.sid, s.method, s.k): s for s in sample}
     for s in sample:
-        got = pdf[
-            (pdf["sid"] == s.sid) & (pdf["method"] == s.method) & (pdf["k"] == s.k)
-        ].iloc[0]["diversity"]
-        assert got == pytest.approx(ref.diversity(s)), (s.method, s.k)
+        got = pdf.loc[f"{s.sid}|{s.method}|{s.k}"]
+        want = {
+            "n_edges": len(s.edges),
+            "n_nodes": len(s.nodes),
+            "comprehensibility": ref.comprehensibility(s),
+            "actionability": ref.actionability(s, ntypes),
+            "diversity": ref.diversity(s),
+            "redundancy": ref.redundancy(s),
+            "relevance": ref.relevance(s, weights),
+            "privacy": ref.privacy(s, ntypes),
+        }
+        for col, value in want.items():
+            assert got[col] == pytest.approx(value, abs=1e-9), (s.sid, s.method, s.k, col)
+        # S_{k+1} missing, or either node set empty: no consistency value.
+        nxt = by_cell.get((s.sid, s.method, s.k + 1))
+        if nxt is None or not s.nodes or not nxt.nodes:
+            assert pd.isna(got["consistency"]), (s.sid, s.method, s.k)
+        else:
+            assert got["consistency"] == pytest.approx(ref.consistency(s, nxt), abs=1e-9)
+    assert (pdf.loc["user:empty|pgpr|1", list(want)] == 0).all()
+    ghost_row = pdf.loc["user:ghost|pgpr|1"]
+    assert ghost_row["relevance"] == 0 and ghost_row["n_nodes"] == 2
 
 
 def test_summary_from_paths_dedup_and_multiset():

@@ -156,6 +156,17 @@ def test_merge_phase_prefers_cheap_edges():
     assert (1, 2, (1, 2)) in accepted
 
 
+def test_merge_phase_breaks_rounding_ties_by_pair():
+    # 1.2 + 2.4 is 3.6 in exact arithmetic but one ulp below the float 3.6;
+    # the (ra, rb) tie-break must decide, not the rounding of the sum.
+    near = 1.2 + 2.4
+    assert near != 3.6 and near < 3.6
+    terms = {1, 2, 3}
+    cands = [(near, 2, 3, (2, 3)), (3.6, 1, 3, (1, 3)), (3.6, 1, 2, (1, 2))]
+    _, accepted = _merge_phase(cands, terms, terms, prize=float("inf"))
+    assert [(ra, rb) for ra, rb, _ in accepted] == [(1, 2), (1, 3)]
+
+
 # --- request semantics -----------------------------------------------------
 
 @given(st.lists(st.tuples(st.integers(1, 10), st.integers(100, 120)), min_size=0, max_size=12))
