@@ -28,12 +28,11 @@ at smaller ``k`` the excluded terminals keep prize 0 and act only as relays.
 """
 from collections import defaultdict
 
-import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import Summary, _collect_pairs, _merge_phase, _norm
+from repro.core.summary import Summary, _collect_pairs, _merge_phase, _norm, _terminal_frame
 from repro.graph.model import KG
 from repro.graph.sssp import voronoi_partition
 
@@ -58,14 +57,10 @@ def pcst_summaries(
     k_top = max(r.k_max() for r in requests)
     ks = ks or [k_top]
 
-    term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
-    terminals_df = spark.createDataFrame(
-        pd.DataFrame(term_rows, columns=["sid", "terminal"]), "sid: string, terminal: long"
-    )
     edges = kg.undirected().select("src", "dst", F.lit(EDGE_COST).alias("cost"))
-    cells = voronoi_partition(edges, terminals_df, max_hops=max_hops)
+    cells = voronoi_partition(edges, _terminal_frame(spark, requests, k_top), max_hops=max_hops)
 
-    # Boundary candidates: cheapest root↔root connection over any cell edge.
+    # Boundary candidates: one root↔root connection per cell edge.
     u, v = cells.alias("u"), cells.alias("v")
     und = kg.undirected().select("src", "dst").where(F.col("src") < F.col("dst"))
     cand = (
@@ -80,11 +75,7 @@ def pcst_summaries(
             F.concat("u.path", F.reverse("v.path")).alias("path"),
         )
     )
-    by_sid = _collect_pairs(
-        cand.groupBy("sid", "ra", "rb")
-        .agg(F.min(F.struct("cost", "path")).alias("_m"))
-        .select("sid", "ra", "rb", F.col("_m.cost").alias("cost"), F.col("_m.path").alias("path"))
-    )
+    by_sid = _collect_pairs(cand)
 
     out: list[Summary] = []
     for req in requests:

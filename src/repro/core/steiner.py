@@ -29,12 +29,11 @@ weakly connected, which the problem definition requires).
 """
 from collections import defaultdict
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import _DSU, Summary, _collect_pairs, _merge_phase, _norm
+from repro.core.summary import _DSU, Summary, _collect_pairs, _merge_phase, _norm, _terminal_frame
 from repro.core.weights import base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
 from repro.graph.sssp import multi_landmark_paths
@@ -45,14 +44,15 @@ _INF = float("inf")
 def _metric_closure(
     edges: DataFrame, sources: DataFrame, *, max_hops: int, boosts: DataFrame | None
 ) -> DataFrame:
-    """``(sid, ra, rb, cost, path)``: the ≤``max_hops`` shortest path between
-    every pair ``ra < rb`` of a summary's terminals, met in the middle.
+    """``(sid, ra, rb, cost, path)``: every ≤``max_hops`` path between a pair
+    ``ra < rb`` of a summary's terminals that the two halves meet on, one
+    row per meeting node. :func:`~repro.core.summary._collect_pairs` keeps
+    the cheapest per pair, the closure edge.
 
     A path of h hops from ``ra`` splits at hop ``min(⌈H/2⌉, h)``, so ``ra``'s
     ⌈H/2⌉-hop half joined with ``rb``'s ⌊H/2⌋-hop half at a shared node
     covers it. The join emits Σ c² rows over nodes with c same-summary
-    halves, so it takes one orientation only. Ties in cost go to the
-    smaller path array.
+    halves, so it takes one orientation only.
     """
     near = multi_landmark_paths(edges, sources, max_hops=(max_hops + 1) // 2, boosts=boosts)
     far = (
@@ -64,20 +64,9 @@ def _metric_closure(
     b = far.toDF("sid", "rb", "node", "db", "pb")
     # b's path runs rb → node; reversed and without the meeting node it ends ra's.
     tail = F.slice(F.reverse("pb"), 2, F.size("pb"))
-    return (
-        a.join(b, ["sid", "node"])
-        .where(F.col("ra") < F.col("rb"))
-        .groupBy("sid", "ra", "rb")
-        .agg(
-            F.min(
-                F.struct(
-                    (F.col("da") + F.col("db")).alias("cost"),
-                    F.concat("pa", tail).alias("path"),
-                )
-            ).alias("_m")
-        )
-        .select("sid", "ra", "rb", "_m.cost", "_m.path")
-    )
+    pairs = a.join(b, ["sid", "node"]).where(F.col("ra") < F.col("rb"))
+    cost = (F.col("da") + F.col("db")).alias("cost")
+    return pairs.select("sid", "ra", "rb", cost, F.concat("pa", tail).alias("path"))
 
 
 def _closure_mst(
@@ -141,10 +130,7 @@ def steiner_summaries(
     edges = base_cost_edges(kg, w_cap)
     boosts = boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top)
 
-    term_rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k_top)]
-    sources = spark.createDataFrame(
-        pd.DataFrame(term_rows, columns=["sid", "landmark"]), "sid: string, landmark: long"
-    )
+    sources = _terminal_frame(spark, requests, k_top)
     closure = _collect_pairs(_metric_closure(edges, sources, max_hops=max_hops, boosts=boosts))
 
     out: list[Summary] = []

@@ -6,8 +6,8 @@ pattern of GraphX/GraphFrames expressed in Catalyst. State rows are
 the edge table and keeps the minimum ``(dist, landmark, path)`` per state key.
 A round is one aggregate: the same ``groupBy`` also yields each key's distance
 before the round, so the next frontier, the rows that beat it, is a filter of
-that one checkpointed result. The key is the only difference between the two
-uses:
+that one checkpointed result. Both uses take the same ``(sid, landmark)``
+seeds; the key is the only difference between them:
 
 * ``(sid, landmark, node)`` — :func:`multi_landmark_paths`, shortest paths from
   every landmark of every summary at once. This is ST's metric closure
@@ -153,17 +153,13 @@ def multi_landmark_paths(
     return best.select("sid", "landmark", "node", "dist", "path")
 
 
-def voronoi_partition(
-    edges: DataFrame,
-    terminals: DataFrame,
-    *,
-    max_hops: int,
-) -> DataFrame:
+def voronoi_partition(edges: DataFrame, seeds: DataFrame, *, max_hops: int) -> DataFrame:
     """Assign every reachable node to its nearest terminal.
 
     Args:
         edges: symmetrized ``(src, dst, cost)`` with ``cost > 0``.
-        terminals: ``(sid, terminal)`` — the prize-bearing nodes per summary.
+        seeds: ``(sid, landmark)`` — the prize-bearing terminals per summary,
+            the same schema :func:`multi_landmark_paths` takes.
         max_hops: exploration radius in edges.
 
     Returns:
@@ -171,6 +167,5 @@ def voronoi_partition(
         (ties go to the smaller one), ``path`` the node array from ``root``
         to ``node`` inclusive.
     """
-    seeds = terminals.select("sid", F.col("terminal").alias("landmark"))
     best = _relax(edges, seeds, key=["sid", "node"], max_hops=max_hops)
     return best.select("sid", "node", F.col("landmark").alias("root"), "dist", "path")

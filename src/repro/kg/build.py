@@ -11,7 +11,7 @@ external entities the tail. Raw generator indices are 0-based within type.
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.model import ETYPE_IE, ETYPE_UI, KG, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
@@ -54,8 +54,8 @@ def interaction_weight_col(
 
 def build_kg(
     spark: SparkSession,
-    ratings: pd.DataFrame | DataFrame,
-    attributes: pd.DataFrame | DataFrame,
+    ratings: pd.DataFrame,
+    attributes: pd.DataFrame,
     ids: IdSpace,
     *,
     beta1: float = 1.0,
@@ -67,23 +67,22 @@ def build_kg(
     """Assemble the knowledge-based graph ``G`` from ratings and attributes.
 
     Args:
-        ratings: ``(user, item, rating, ts)`` with 0-based per-type indices.
-        attributes: ``(item, ext)`` item→entity links, 0-based per-type.
+        ratings: pandas ``(user, item, rating, ts)`` with 0-based per-type
+            indices.
+        attributes: pandas ``(item, ext)`` item→entity links, 0-based
+            per-type.
         ids: node-id layout (also fixes the node set — every id in range is a
             node even if isolated, matching Table II's node counts).
         beta1/beta2/gamma: weight-function parameters; the paper's main
             experiments use ``β1 = 1, β2 = 0``.
-        t0: "current time" for recency; defaults to ``max(ts)``.
+        t0: "current time" for recency; defaults to ``max(ts)`` (0.0 without
+            ratings).
         w_a: weight of attribute edges (paper: 0).
     """
-    r = spark.createDataFrame(ratings) if isinstance(ratings, pd.DataFrame) else ratings
-    a = (
-        spark.createDataFrame(attributes)
-        if isinstance(attributes, pd.DataFrame)
-        else attributes
-    )
     if t0 is None:
-        t0 = float(r.agg(F.max("ts")).collect()[0][0] or 0.0)
+        t0 = float(ratings["ts"].max()) if len(ratings) else 0.0
+    r = spark.createDataFrame(ratings)
+    a = spark.createDataFrame(attributes)
 
     ui = r.select(
         F.col("user").cast("long").alias("src"),

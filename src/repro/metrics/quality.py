@@ -122,18 +122,22 @@ def _node_metrics(typed: pd.DataFrame) -> pd.DataFrame:
 def _consistency(meta: pd.DataFrame, nodes: pd.DataFrame) -> pd.DataFrame:
     """Per (sid, method, k): Jaccard(node sets of S_k, S_{k+1}).
 
-    Only cut-offs where both node sets are non-empty get a row.
+    Every cut-off with a successor gets a row: 0.0 when exactly one of the
+    two node sets is empty, NaN when both are.
     """
     key = ["sid", "method", "k"]
     keyed = nodes.merge(meta, on="rid")[key + ["node"]].drop_duplicates()
-    sizes = keyed.groupby(key).size().rename("n").reset_index()
+    sizes = meta[key].drop_duplicates().merge(
+        keyed.groupby(key).size().rename("n").reset_index(), on=key, how="left"
+    ).fillna({"n": 0})
     nxt = sizes.assign(k=sizes["k"] - 1).rename(columns={"n": "n2"})
     inter = (
         keyed.merge(keyed.assign(k=keyed["k"] - 1), on=key + ["node"])
         .groupby(key).size().rename("i").reset_index()
     )
     c = sizes.merge(nxt, on=key).merge(inter, on=key, how="left").fillna({"i": 0})
-    return c.assign(consistency=c["i"] / (c["n"] + c["n2"] - c["i"]))[key + ["consistency"]]
+    union = c["n"] + c["n2"] - c["i"]
+    return c.assign(consistency=(c["i"] / union).where(union > 0))[key + ["consistency"]]
 
 
 def compute_quality(
@@ -143,7 +147,8 @@ def compute_quality(
 
     Columns: n_edges, n_nodes, comprehensibility, actionability, diversity,
     redundancy, relevance, privacy, consistency (NaN at the largest k of each
-    series, where S_{k+1} does not exist).
+    series, where S_{k+1} does not exist, and where S_k and S_{k+1} both have
+    no nodes).
     """
     frames = summary_frames(summaries)
     meta, nodes = frames["meta"], frames["nodes"]

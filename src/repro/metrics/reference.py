@@ -52,7 +52,9 @@ def redundancy(s: Summary) -> float:
 
 
 def consistency(a: Summary, b: Summary) -> float:
-    """Jaccard similarity of the node sets of consecutive summaries."""
+    """Jaccard similarity of the node sets of consecutive summaries: 0.0 when
+    exactly one is empty, NaN when both are.
+    """
     if not a.nodes and not b.nodes:
-        return 0.0
+        return float("nan")
     return len(a.nodes & b.nodes) / len(a.nodes | b.nodes)

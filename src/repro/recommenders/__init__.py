@@ -5,8 +5,8 @@ models that cannot be reproduced offline; each is replaced by one fixed
 policy of the seeded 3-hop beam walker
 :func:`~repro.recommenders.base.recommend_paths`, chosen to mimic the
 published behaviour the summarization experiments depend on (see DESIGN.md
-§2). :func:`~repro.recommenders.base.random_walker` is the uniform random
-policy (Table III's synthetic paths).
+§2). ``random_walker`` is one more row of the same table: the uniform random
+policy behind Table III's synthetic paths.
 
 All return the same schema: ``(user, item, rank, path, in_kg, score)`` with
 ``path`` a 4-node array (3 edges), top-``k`` distinct items per user.
@@ -15,7 +15,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.graph.model import KG
 from repro.kg.build import IdSpace
-from repro.recommenders.base import random_walker, recommend_paths
+from repro.recommenders.base import recommend_paths
 
 
 def _policy(name: str, **policy):
@@ -51,5 +51,9 @@ BASELINES = {
     ),
 }
 pgpr, cafe, plm, pearlm = BASELINES.values()
+# Table III's synthetic explanation paths: weight-blind, uniform noise.
+random_walker = _policy(
+    "random_walker", weight_coef=0.0, temperature=1.0, families=("ie", "uu"), beams=(15, 4, 4)
+)
 
 __all__ = ["recommend_paths", "random_walker", "pgpr", "cafe", "plm", "pearlm", "BASELINES"]

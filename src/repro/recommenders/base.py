@@ -10,8 +10,11 @@ Each hop keeps a beam of the highest-scoring continuations, where
 hash in ``[0, 1)`` — deterministic regardless of partitioning, so every
 recommender is reproducible. Greedy policies (PGPR/CAFE) use
 ``temperature ≈ 0``; sampled policies (PLM/PEARLM) use a high temperature;
-the random walker (Table III synthetic paths) sets ``weight_coef = 0``.
+the random walker (Table III synthetic paths) sets ``weight_coef = 0``. The
+policies are rows of :mod:`repro.recommenders`; this module is the walker.
 """
+from functools import reduce
+
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
@@ -28,10 +31,9 @@ def _noise(seed: int, *cols) -> F.Column:
 
 
 def _top(df: DataFrame, keys: list[str], order: list, n: int) -> DataFrame:
+    """The first ``n`` rows per ``keys`` in ``order``, numbered 1..n in ``rank``."""
     w = Window.partitionBy(*keys).orderBy(*order)
-    return (
-        df.withColumn("_rn", F.row_number().over(w)).where(F.col("_rn") <= n).drop("_rn")
-    )
+    return df.withColumn("rank", F.row_number().over(w)).where(F.col("rank") <= n)
 
 
 def recommend_paths(
@@ -53,6 +55,8 @@ def recommend_paths(
     Returns ``(user, item, rank, path, in_kg, score)``; ``path`` is the 4-node
     array ``[user, item1, mid, item]``; ``in_kg`` is False only for
     hallucinated final hops (PLM). Already-rated items are never recommended.
+    Raises ``ValueError`` when ``families`` is empty or names a family other
+    than ``ie`` and ``uu``.
     """
     b1, b2, b3 = beams
     users_df = spark.createDataFrame(pd.DataFrame({"user": [int(u) for u in users]}), "user: long")
@@ -68,59 +72,41 @@ def recommend_paths(
     )
     hop1 = _top(hop1, ["user"], [F.desc("s1"), F.asc("item1")], b1)
 
+    # Per family: hop-2 edges, hop-3 edges and the noise offsets of both hops.
+    # On ``ie`` the mid is an entity, so ``mid != user`` removes nothing there.
+    ie_rev = ie.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight")
+    ui_rev = ui.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight")
+    table = {"ie": (ie, ie_rev, 2, 3), "uu": (ui_rev, ui, 4, 5)}
+    if unknown := sorted(set(families) - set(table)):
+        raise ValueError(f"unknown metapath families {unknown}; known: {sorted(table)}")
+    if not families:
+        raise ValueError("at least one metapath family required")
     legs = []
-    if "ie" in families:
-        h2 = hop1.join(ie.alias("e2"), F.col("item1") == F.col("e2.src")).select(
-            "user",
-            "item1",
-            F.col("e2.dst").alias("mid"),
-            (F.col("s1") + sc(2, F.col("e2.weight"), "user", "item1", "e2.dst")).alias("s2"),
+    for hop2, hop3, off2, off3 in (table[f] for f in table if f in families):
+        h2 = (
+            hop1.join(hop2.alias("e2"), F.col("item1") == F.col("e2.src"))
+            .where(F.col("e2.dst") != F.col("user"))
+            .select(
+                "user",
+                "item1",
+                F.col("e2.dst").alias("mid"),
+                (F.col("s1") + sc(off2, F.col("e2.weight"), "user", "item1", "e2.dst")).alias("s2"),
+            )
         )
         h2 = _top(h2, ["user", "item1"], [F.desc("s2"), F.asc("mid")], b2)
-        ie_rev = ie.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight")
         h3 = (
-            h2.join(ie_rev.alias("e3"), F.col("mid") == F.col("e3.src"))
+            h2.join(hop3.alias("e3"), F.col("mid") == F.col("e3.src"))
             .where(F.col("e3.dst") != F.col("item1"))
             .select(
                 "user",
                 "item1",
                 "mid",
                 F.col("e3.dst").alias("item2"),
-                (F.col("s2") + sc(3, F.col("e3.weight"), "user", "mid", "e3.dst")).alias("s"),
+                (F.col("s2") + sc(off3, F.col("e3.weight"), "user", "mid", "e3.dst")).alias("s"),
             )
         )
         legs.append(_top(h3, ["user", "item1", "mid"], [F.desc("s"), F.asc("item2")], b3))
-    if "uu" in families:
-        ui_rev = ui.select(F.col("dst").alias("src"), F.col("src").alias("dst"), "weight")
-        h2 = (
-            hop1.join(ui_rev.alias("u2"), F.col("item1") == F.col("u2.src"))
-            .where(F.col("u2.dst") != F.col("user"))
-            .select(
-                "user",
-                "item1",
-                F.col("u2.dst").alias("mid"),
-                (F.col("s1") + sc(4, F.col("u2.weight"), "user", "item1", "u2.dst")).alias("s2"),
-            )
-        )
-        h2 = _top(h2, ["user", "item1"], [F.desc("s2"), F.asc("mid")], b2)
-        h3 = (
-            h2.join(ui.alias("u3"), F.col("mid") == F.col("u3.src"))
-            .where(F.col("u3.dst") != F.col("item1"))
-            .select(
-                "user",
-                "item1",
-                "mid",
-                F.col("u3.dst").alias("item2"),
-                (F.col("s2") + sc(5, F.col("u3.weight"), "user", "mid", "u3.dst")).alias("s"),
-            )
-        )
-        legs.append(_top(h3, ["user", "item1", "mid"], [F.desc("s"), F.asc("item2")], b3))
-    if not legs:
-        raise ValueError("at least one metapath family required")
-
-    paths = legs[0]
-    for leg in legs[1:]:
-        paths = paths.unionByName(leg)
+    paths = reduce(DataFrame.unionByName, legs)
 
     # Never recommend an item the user already rated.
     rated = ui.select(F.col("src").alias("user"), F.col("dst").alias("item2"))
@@ -146,15 +132,13 @@ def recommend_paths(
         F.array("user", "_b.item1", "_b.mid", "item").alias("path"),
         F.col("_b.mid").alias("_mid"),
     )
-    ranked = _top(best, ["user"], [F.desc("score"), F.asc("item")], k).withColumn(
-        "rank", F.row_number().over(Window.partitionBy("user").orderBy(F.desc("score"), F.asc("item")))
-    )
+    ranked = _top(best, ["user"], [F.desc("score"), F.asc("item")], k)
 
     # Faithfulness flag: does the final hop exist in the (undirected) KG?
     und = kg.undirected().select(
         F.col("src").alias("_mid"), F.col("dst").alias("item"), F.lit(True).alias("in_kg")
     ).distinct()
-    out = (
+    return (
         ranked.join(und, ["_mid", "item"], "left")
         .select(
             "user",
@@ -164,29 +148,4 @@ def recommend_paths(
             F.coalesce("in_kg", F.lit(False)).alias("in_kg"),
             "score",
         )
-    )
-    return out
-
-
-def random_walker(
-    spark: SparkSession,
-    kg: KG,
-    ids: IdSpace,
-    users: list[int],
-    *,
-    k: int = 10,
-    seed: int = 0,
-) -> DataFrame:
-    """Uniform random 3-hop paths — Table III's synthetic explanation paths."""
-    return recommend_paths(
-        spark,
-        kg,
-        ids,
-        users,
-        k=k,
-        seed=seed,
-        weight_coef=0.0,
-        temperature=1.0,
-        families=("ie", "uu"),
-        beams=(15, 4, 4),
     )

@@ -15,6 +15,10 @@ With the hints in place the two settings time the same (2.33 s vs 2.41 s).
 """
 import os
 
+# Shuffle partitions of every session. Summaries do not depend on the count
+# (tests/test_steiner.py checks 1, 4 and 64).
+SHUFFLE_PARTITIONS = 64
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
@@ -73,7 +77,7 @@ def job_session(app: str):
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")

@@ -102,6 +102,19 @@ def lite_summaries(spark, ml1m_lite, lite_requests):
     return {"st": st, "pcst": pc, "baseline": bl}
 
 
+def hop_limited_bellman_ford(costs: dict, source: int, max_hops: int) -> dict:
+    """Reference: distances from ``source`` over directed ``costs``
+    ``{(u, v): cost}`` using at most ``max_hops`` edges."""
+    dist = {source: 0.0}
+    for _ in range(max_hops):
+        nxt = dict(dist)
+        for (u, v), c in costs.items():
+            if u in dist and dist[u] + c < nxt.get(v, float("inf")):
+                nxt[v] = dist[u] + c
+        dist = nxt
+    return dist
+
+
 def path_is_walk(kg_edge_set: set, path) -> bool:
     """True iff consecutive path nodes are adjacent in the undirected KG."""
     return all(

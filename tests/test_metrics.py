@@ -192,8 +192,8 @@ def test_aggregate_quality_means(scored):
 
 
 def test_every_metric_matches_reference_on_lite_summaries(spark, ml1m_lite, lite_summaries):
-    # ST, PCST and baseline summaries of every k, an empty summary, and a
-    # summary with a node (and so an edge) that is not in the KG.
+    # ST, PCST and baseline summaries of every k, a series empty → empty →
+    # non-empty, and a summary with a node (and so an edge) not in the KG.
     _, kg = ml1m_lite
     ntypes = kg.node_types()
     weights: dict[tuple[int, int], float] = {}
@@ -202,9 +202,12 @@ def test_every_metric_matches_reference_on_lite_summaries(spark, ml1m_lite, lite
         weights[e] = max(weights.get(e, r["weight"]), r["weight"])
     real = next(iter(lite_summaries["st"][0].nodes))
     ghost = max(ntypes) + 1
+    ghost_edge = ((real, ghost),)
     extra = [
         _summary(sid="user:empty", method="pgpr", edges=(), paths=()),
-        _summary(sid="user:ghost", method="pgpr", edges=((real, ghost),), paths=((real, ghost),)),
+        _summary(sid="user:empty", method="pgpr", k=2, edges=(), paths=()),
+        _summary(sid="user:empty", method="pgpr", k=3, edges=ghost_edge, paths=ghost_edge),
+        _summary(sid="user:ghost", method="pgpr", edges=ghost_edge, paths=ghost_edge),
     ]
     sample = [s for v in lite_summaries.values() for s in v] + extra
     pdf = compute_quality(spark, kg, sample).set_index("rid")
@@ -224,13 +227,13 @@ def test_every_metric_matches_reference_on_lite_summaries(spark, ml1m_lite, lite
         }
         for col, value in want.items():
             assert got[col] == pytest.approx(value, abs=1e-9), (s.sid, s.method, s.k, col)
-        # S_{k+1} missing, or either node set empty: no consistency value.
+        # S_{k+1} missing: no consistency value.
         nxt = by_cell.get((s.sid, s.method, s.k + 1))
-        if nxt is None or not s.nodes or not nxt.nodes:
-            assert pd.isna(got["consistency"]), (s.sid, s.method, s.k)
-        else:
-            assert got["consistency"] == pytest.approx(ref.consistency(s, nxt), abs=1e-9)
+        want_c = ref.consistency(s, nxt) if nxt is not None else float("nan")
+        assert got["consistency"] == pytest.approx(want_c, abs=1e-9, nan_ok=True), (s.sid, s.k)
     assert (pdf.loc["user:empty|pgpr|1", list(want)] == 0).all()
+    assert pd.isna(pdf.loc["user:empty|pgpr|1", "consistency"])  # both empty
+    assert pdf.loc["user:empty|pgpr|2", "consistency"] == 0.0  # empty → non-empty
     ghost_row = pdf.loc["user:ghost|pgpr|1"]
     assert ghost_row["relevance"] == 0 and ghost_row["n_nodes"] == 2
 

@@ -4,7 +4,7 @@ from pyspark.sql import functions as F
 
 from repro.graph.model import NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
 from repro.oracle import assert_equivalent
-from repro.recommenders import cafe, pearlm, pgpr, plm, random_walker
+from repro.recommenders import cafe, pearlm, pgpr, plm, random_walker, recommend_paths
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +124,12 @@ def test_random_walker_emits_valid_topk(spark, stack):
     pdf = _pdf(random_walker(spark, kg, ds.ids, users[:2], k=4, seed=1))
     assert not pdf.empty
     assert pdf.groupby("user")["item"].nunique().le(4).all()
+
+
+def test_unknown_metapath_family_raises(spark, stack):
+    ds, kg, users = stack
+    with pytest.raises(ValueError, match="xx"):
+        recommend_paths(spark, kg, ds.ids, users, families=("ie", "xx"))
 
 
 def test_rank_agrees_with_score_order_oracle(spark, lite_paths):

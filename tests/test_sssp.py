@@ -4,7 +4,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.sssp import multi_landmark_paths, voronoi_partition
-from tests.conftest import nx_of, random_kg
+from tests.conftest import hop_limited_bellman_ford, nx_of, random_kg
 
 
 def _cost_edges(kg):
@@ -67,18 +67,6 @@ def test_hop_limit_restricts_reach(spark):
     assert reached == {0, 1, 2}
 
 
-def _hop_limited_bellman_ford(cost, source, max_hops):
-    """Reference: cheapest distance over paths of at most ``max_hops`` edges."""
-    dist = {source: 0.0}
-    for _ in range(max_hops):
-        nxt = dict(dist)
-        for (a, b), c in cost.items():
-            if a in dist and dist[a] + c < nxt.get(b, float("inf")):
-                nxt[b] = dist[a] + c
-        dist = nxt
-    return dist
-
-
 @pytest.mark.parametrize("seed, max_hops", [(0, 2), (0, 3), (1, 2), (1, 3)])
 def test_hop_limited_distances_with_boosts(spark, seed, max_hops):
     # Weighted costs, every fourth edge boosted for sid "x" only: the hop
@@ -104,8 +92,8 @@ def test_hop_limited_distances_with_boosts(spark, seed, max_hops):
     expect, binds = {}, False
     for sid, c in cost.items():
         for l in landmarks:
-            ref = _hop_limited_bellman_ford(c, l, max_hops)
-            full = _hop_limited_bellman_ford(c, l, len(base))
+            ref = hop_limited_bellman_ford(c, l, max_hops)
+            full = hop_limited_bellman_ford(c, l, len(base))
             binds |= any(d > full[n] + 1e-9 for n, d in ref.items())
             expect.update({(sid, l, n): d for n, d in ref.items()})
     assert binds
@@ -189,8 +177,7 @@ def test_rows_do_not_depend_on_shuffle_partitions(spark, which):
     if which == "multi_landmark_paths":
         run = lambda: multi_landmark_paths(edges, sources, max_hops=6, boosts=boosts)
     else:
-        terminals = sources.withColumnRenamed("landmark", "terminal")
-        run = lambda: voronoi_partition(edges, terminals, max_hops=6)
+        run = lambda: voronoi_partition(edges, sources, max_hops=6)
     settings = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
     before = {k: spark.conf.get(k) for k in settings}
     got = {}
@@ -221,8 +208,7 @@ def test_voronoi_cell_is_nearest_landmark(spark, seed):
     for r in multi_landmark_paths(edges, sources, max_hops=12).collect():
         k = (r["sid"], r["node"])
         nearest[k] = min(nearest.get(k, (float("inf"), -1)), (r["dist"], r["landmark"]))
-    terminals = sources.withColumnRenamed("landmark", "terminal")
-    cells = voronoi_partition(edges, terminals, max_hops=12).collect()
+    cells = voronoi_partition(edges, sources, max_hops=12).collect()
     assert {(r["sid"], r["node"]): (r["dist"], r["root"]) for r in cells} == nearest
 
 
@@ -232,7 +218,6 @@ def test_round_jobs(spark, which):
     # checkpoint and the convergence probe: each extra hop adds at most 4 jobs.
     kg = random_kg(spark, n=30, m=60, seed=0)
     edges, sources, boosts = _boosted_inputs(spark, kg)
-    terminals = sources.withColumnRenamed("landmark", "terminal")
     sc = spark.sparkContext
     props = ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel")
     before = {k: sc.getLocalProperty(k) for k in props}
@@ -244,7 +229,7 @@ def test_round_jobs(spark, which):
             if which == "multi_landmark_paths":
                 multi_landmark_paths(edges, sources, max_hops=max_hops, boosts=boosts)
             else:
-                voronoi_partition(edges, terminals, max_hops=max_hops)
+                voronoi_partition(edges, sources, max_hops=max_hops)
             sc._jsc.sc().listenerBus().waitUntilEmpty()
             jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
     finally:

@@ -12,7 +12,7 @@ from repro.core.steiner import _metric_closure, steiner_summaries
 from repro.core.summary import _collect_pairs
 from repro.core.weights import COST_EPS, w_cap_for
 from repro.graph.model import ETYPE_UI
-from tests.conftest import make_kg, nx_of, random_kg
+from tests.conftest import hop_limited_bellman_ford, make_kg, nx_of, random_kg
 
 
 def _req(terminals, paths=(), sid="user:0", scenario="user-centric"):
@@ -212,18 +212,6 @@ def test_summaries_do_not_depend_on_shuffle_partitions(
     assert any(edges for _, _, edges, _ in got[1])
 
 
-def _hop_limited_bellman_ford(costs: dict, source: int, max_hops: int) -> dict:
-    """Distances from ``source`` over directed ``costs`` using ≤ ``max_hops`` edges."""
-    dist = {source: 0.0}
-    for _ in range(max_hops):
-        nxt = dict(dist)
-        for (u, v), c in costs.items():
-            if u in dist and dist[u] + c < nxt.get(v, float("inf")):
-                nxt[v] = dist[u] + c
-        dist = nxt
-    return dist
-
-
 def _check_closure(spark, edges, boosts, terminals, max_hops):
     """ST's closure equals a hop-limited Bellman–Ford per summary, pair by pair.
 
@@ -258,7 +246,7 @@ def _check_closure(spark, edges, boosts, terminals, max_hops):
             costs[(u, v)] = costs[(v, u)] = min(c, shared[(u, v)])
         want = {}
         for x in ts:
-            dist = _hop_limited_bellman_ford(costs, x, max_hops)
+            dist = hop_limited_bellman_ford(costs, x, max_hops)
             want.update({(x, y): dist[y] for y in ts if x < y and y in dist})
         by_pair = {(ra, rb): (cost, path) for cost, ra, rb, path in got.get(sid, [])}
         assert set(by_pair) == set(want), sid

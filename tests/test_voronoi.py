@@ -16,7 +16,7 @@ def test_cell_distances_match_networkx(spark, seed):
     kg = random_kg(spark, n=12, m=22, seed=seed)
     g = nx_of(kg)
     terminals = sorted(g.nodes)[:3]
-    tdf = spark.createDataFrame([(0, t) for t in terminals], "sid: int, terminal: long")
+    tdf = spark.createDataFrame([(0, t) for t in terminals], "sid: int, landmark: long")
     res = voronoi_partition(_unit_edges(kg), tdf, max_hops=12)
     got = {r["node"]: (r["dist"], r["root"]) for r in res.collect()}
     dist, _ = nx.multi_source_dijkstra(g, set(terminals), weight=None)
@@ -33,7 +33,7 @@ def test_roots_are_terminals_and_paths_valid(spark):
         (min(r["src"], r["dst"]), max(r["src"], r["dst"])) for r in kg.edges.collect()
     }
     terminals = [0, 5]
-    tdf = spark.createDataFrame([(0, t) for t in terminals], "sid: int, terminal: long")
+    tdf = spark.createDataFrame([(0, t) for t in terminals], "sid: int, landmark: long")
     res = voronoi_partition(_unit_edges(kg), tdf, max_hops=10)
     for r in res.collect():
         assert r["root"] in terminals
@@ -46,14 +46,14 @@ def test_roots_are_terminals_and_paths_valid(spark):
 def test_state_size_is_per_node_not_per_terminal(spark):
     # With many terminals the result still has one row per reachable node.
     kg = make_kg(spark, [(i, i + 1, 1.0, "ui") for i in range(9)])
-    tdf = spark.createDataFrame([(0, t) for t in range(0, 10, 2)], "sid: int, terminal: long")
+    tdf = spark.createDataFrame([(0, t) for t in range(0, 10, 2)], "sid: int, landmark: long")
     res = voronoi_partition(_unit_edges(kg), tdf, max_hops=10)
     assert res.count() == 10
 
 
 def test_tie_breaks_to_smaller_root(spark):
     kg = make_kg(spark, [(0, 1, 1.0, "ui"), (1, 2, 1.0, "ui")])
-    tdf = spark.createDataFrame([(0, 0), (0, 2)], "sid: int, terminal: long")
+    tdf = spark.createDataFrame([(0, 0), (0, 2)], "sid: int, landmark: long")
     res = voronoi_partition(_unit_edges(kg), tdf, max_hops=4)
     mid = [r for r in res.collect() if r["node"] == 1][0]
     assert mid["root"] == 0 and mid["dist"] == 1.0
