@@ -1,5 +1,5 @@
 set -x
-cd /root/repo
+cd "$(dirname "$0")/.."
 python jobs/table1_example.py               > results/table1.txt 2> results/table1.err
 python jobs/table2_ml1m_stats.py --scale 1.0 > results/table2.txt 2> results/table2.err
 python jobs/table3_synth_stats.py --scale 1.0 > results/table3.txt 2> results/table3.err

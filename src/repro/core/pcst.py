@@ -26,13 +26,13 @@ this behaviour-faithful adaptation is used instead.
 For incremental ``k`` the Voronoi pass runs once with all k_max terminals;
 at smaller ``k`` the excluded terminals keep prize 0 and act only as relays.
 """
-from collections import defaultdict
+from collections import Counter
 
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import Summary, _collect_pairs, _merge_phase, _norm, _terminal_frame
+from repro.core.summary import Summary, _collect_pairs, _merge_phase, _path_edges, _terminal_frame
 from repro.graph.model import KG
 from repro.graph.sssp import voronoi_partition
 
@@ -79,36 +79,25 @@ def pcst_summaries(
 
     out: list[Summary] = []
     for req in requests:
-        all_terms = set(req.terminals(k_top))
         cands = by_sid.get(req.sid, [])
         for k in ks:
-            terms_k = set(req.terminals(k))
-            centers = [c for c in req.centers if c in all_terms] or sorted(terms_k)[:1]
-            dsu, accepted = _merge_phase(cands, terms_k, all_terms, PRIZE)
-            # Pick the component holding the most prize (preferring centers).
-            comp_prize: dict[int, float] = defaultdict(float)
-            for t in terms_k:
-                comp_prize[dsu.find(t)] += PRIZE
-            for c in centers:
-                comp_prize[dsu.find(c)] += 1e-9  # center tie-break
-            root = (
-                max(comp_prize, key=lambda r: (comp_prize[r], -r))
-                if comp_prize
-                else dsu.find(centers[0])
-            )
+            terms_k = req.terminals(k)
+            dsu, accepted = _merge_phase(cands, set(terms_k), PRIZE)
+            # Keep the component holding the most terminals, then the most
+            # centers, then the smallest root.
+            held = Counter(dsu.find(t) for t in terms_k)
+            hubs = Counter(dsu.find(c) for c in req.centers)
+            root = max(held, key=lambda r: (held[r], hubs[r], -r))
             sel_paths = [p for ra, rb, p in accepted if dsu.find(ra) == root]
-            edge_set: set[tuple[int, int]] = set()
-            nodes: set[int] = {t for t in terms_k if dsu.find(t) == root}
-            for p in sel_paths:
-                nodes.update(p)
-                edge_set.update(_norm(x, y) for x, y in zip(p, p[1:]))
+            nodes = {t for t in terms_k if dsu.find(t) == root}
+            nodes.update(n for p in sel_paths for n in p)
             out.append(
                 Summary(
                     sid=req.sid,
                     scenario=req.scenario,
                     method=method,
                     k=k,
-                    edges=tuple(sorted(edge_set)),
+                    edges=tuple(sorted({e for p in sel_paths for e in _path_edges(p)})),
                     nodes=frozenset(nodes),
                     paths=tuple(sel_paths),
                     terminals=tuple(sorted(terms_k)),

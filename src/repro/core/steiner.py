@@ -33,7 +33,9 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import _DSU, Summary, _collect_pairs, _merge_phase, _norm, _terminal_frame
+from repro.core.summary import (
+    _DSU, Summary, _collect_pairs, _merge_phase, _norm, _path_edges, _terminal_frame
+)
 from repro.core.weights import base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
 from repro.graph.sssp import multi_landmark_paths
@@ -77,7 +79,7 @@ def _closure_mst(
     ``terminals[0]``; terminals it cannot reach are forgone.
     """
     t = set(terminals)
-    dsu, accepted = _merge_phase([c for c in cands if c[1] in t and c[2] in t], t, t, _INF)
+    dsu, accepted = _merge_phase([c for c in cands if c[1] in t and c[2] in t], t, _INF)
     root = dsu.find(terminals[0])
     return [m for m in accepted if dsu.find(m[0]) == root]
 
@@ -139,9 +141,7 @@ def steiner_summaries(
         for k in ks:
             terminals = req.terminals(k)
             sel_paths = [p for _, _, p in _closure_mst(terminals, cands)]
-            union_edges: set[tuple[int, int]] = set()
-            for p in sel_paths:
-                union_edges.update(_norm(a, b) for a, b in zip(p, p[1:]))
+            union_edges = {e for p in sel_paths for e in _path_edges(p)}
             tree = _tree_of_union(union_edges, set(terminals))
             nodes = {n for e in tree for n in e} | {terminals[0]}
             out.append(

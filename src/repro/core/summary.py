@@ -46,6 +46,11 @@ def _norm(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _path_edges(path) -> list[tuple[int, int]]:
+    """The hops of ``path`` as undirected ``(min, max)`` edges, in order."""
+    return [_norm(a, b) for a, b in zip(path, path[1:])]
+
+
 class _DSU:
     def __init__(self):
         self.p: dict[int, int] = {}
@@ -67,20 +72,21 @@ class _DSU:
 
 def _merge_phase(
     cands: list[tuple[float, int, int, tuple[int, ...]]],
-    terminals_k: set[int],
-    all_terminals: set[int],
+    terminals: set[int],
     prize: float,
 ):
     """Greedy prize-budgeted merging; returns (dsu, accepted merge paths).
 
-    With ``prize=inf`` every merge pays for itself: this is Kruskal's MST.
+    Each terminal starts with budget ``prize``, any other endpoint (a relay)
+    with 0. With ``prize=inf`` and terminal endpoints only, this is Kruskal.
+
     Candidates are taken in ``(cost, ra, rb)`` order with the cost rounded to
     9 decimals, so two costs that are equal in exact arithmetic but summed in
     a different order (3.5999999999999996 vs 3.6) tie and ``(ra, rb)``
     decides, not the rounding of the sum.
     """
     dsu = _DSU()
-    budget = {t: (prize if t in terminals_k else 0.0) for t in all_terminals}
+    budget = defaultdict(float, dict.fromkeys(terminals, prize))
     accepted: list[tuple[int, int, tuple[int, ...]]] = []
     for cost, ra, rb, path in sorted(cands, key=lambda c: (round(c[0], 9), c[1], c[2])):
         fa, fb = dsu.find(ra), dsu.find(rb)
@@ -123,24 +129,18 @@ def _collect_pairs(cands: DataFrame) -> dict[str, list[tuple[float, int, int, tu
 
 
 def summary_from_paths(
-    req: SummaryRequest, method: str, k: int, paths: list[tuple[int, ...]], *, dedup: bool
+    req: SummaryRequest, method: str, k: int, paths: list[tuple[int, ...]]
 ) -> Summary:
-    """Build a Summary from constituent paths (dedup=False keeps a multiset)."""
-    edges: list[tuple[int, int]] = []
-    nodes: set[int] = set()
-    for p in paths:
-        nodes.update(p)
-        for a, b in zip(p, p[1:]):
-            edges.append(_norm(a, b))
-    if dedup:
-        edges = sorted(set(edges))
+    """Build a Summary from constituent paths; its edges are their multiset
+    union, in path order.
+    """
     return Summary(
         sid=req.sid,
         scenario=req.scenario,
         method=method,
         k=k,
-        edges=tuple(edges),
-        nodes=frozenset(nodes),
+        edges=tuple(e for p in paths for e in _path_edges(p)),
+        nodes=frozenset(n for p in paths for n in p),
         paths=tuple(tuple(p) for p in paths),
         terminals=tuple(req.terminals(k)),
     )
@@ -158,5 +158,5 @@ def baseline_summaries(
     for req in requests:
         for k in ks:
             paths = req.paths_at(k)
-            out.append(summary_from_paths(req, method, k, paths, dedup=False))
+            out.append(summary_from_paths(req, method, k, paths))
     return out

@@ -20,6 +20,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.summary import _path_edges
 from repro.graph.model import KG
 
 COST_EPS = 0.5
@@ -64,8 +65,7 @@ def path_edge_frequencies(requests, k: int) -> pd.DataFrame:
         n_s = max(len(paths), 1)
         freq: Counter = Counter()
         for p in paths:
-            for a, b in zip(p, p[1:]):
-                freq[(min(a, b), max(a, b))] += 1
+            freq.update(_path_edges(p))
         for (a, b), f in freq.items():
             rows.append((req.sid, a, b, f, n_s))
             rows.append((req.sid, b, a, f, n_s))

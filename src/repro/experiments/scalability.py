@@ -32,9 +32,9 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def _measure(spark, kg, requests, *, max_hops=4):
-    st = _timed(lambda: steiner_summaries(spark, kg, requests, lam=1.0, max_hops=max_hops))
-    pc = _timed(lambda: pcst_summaries(spark, kg, requests, max_hops=max_hops))
+def _measure(spark, kg, requests):
+    st = _timed(lambda: steiner_summaries(spark, kg, requests, lam=1.0))
+    pc = _timed(lambda: pcst_summaries(spark, kg, requests))
     return st, pc
 
 

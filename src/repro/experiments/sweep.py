@@ -66,20 +66,17 @@ def sample_users(ds: Dataset, n_per_gender: int, seed: int) -> dict[str, list[in
     return out
 
 
-def sample_items(
-    ds: Dataset, n_per_pop: int, recommended: set[int] | None = None
-) -> dict[str, list[int]]:
+def sample_items(ds: Dataset, n_per_pop: int, recommended: set[int]) -> dict[str, list[int]]:
     """Most- and least-popular items (graph node ids), split as in the paper.
 
-    When ``recommended`` (graph node ids) is given, sampling is restricted to
-    items that actually received recommendations so item-centric summaries
-    have non-empty ``C_i`` — at reduced scale the paper's unconditional
-    most/least-popular split would mostly pick never-recommended items.
+    Only items in ``recommended`` (graph node ids) are sampled, so that
+    item-centric summaries have non-empty ``C_i``: at reduced scale the
+    paper's unconditional most/least-popular split would mostly pick
+    never-recommended items.
     """
     pop = ds.ratings["item"].value_counts()
     ranked = [ds.ids.item(int(i)) for i in pop.index]
-    if recommended is not None:
-        ranked = [i for i in ranked if i in recommended]
+    ranked = [i for i in ranked if i in recommended]
     most = ranked[:n_per_pop]
     least = ranked[-n_per_pop:] if len(ranked) > n_per_pop else []
     return {"popular": most, "unpopular": [i for i in least if i not in most]}

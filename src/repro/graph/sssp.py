@@ -44,7 +44,6 @@ def _relax(
     key: list[str],
     max_hops: int,
     boosts: DataFrame | None = None,
-    track_paths: bool = True,
 ) -> DataFrame:
     """Relax from ``seeds`` ``(sid, landmark)`` for up to ``max_hops`` rounds.
 
@@ -60,15 +59,12 @@ def _relax(
     new or beat it by more than ``_EPS``. An empty frontier ends the loop
     early; the last round does not test for it.
     """
-    init_path = (
-        F.array(F.col("landmark")) if track_paths else F.array().cast("array<long>")
-    )
     best = seeds.select(
         "sid",
         "landmark",
         F.col("landmark").alias("node"),
         F.lit(0.0).alias("dist"),
-        init_path.alias("path"),
+        F.array(F.col("landmark")).alias("path"),
     ).localCheckpoint(eager=True)
     frontier = best
     # Shared rows have a null sid and serve every summary. A boost row never
@@ -85,17 +81,12 @@ def _relax(
             (F.col("f.node") == F.col("e.src"))
             & (F.col("e.sid").isNull() | (F.col("e.sid") == F.col("f.sid"))),
         )
-        step_path = (
-            F.concat(F.col("f.path"), F.array(F.col("e.dst")))
-            if track_paths
-            else F.col("f.path")
-        )
         cand = cand.select(
             F.col("f.sid").alias("sid"),
             F.col("f.landmark").alias("landmark"),
             F.col("e.dst").alias("node"),
             (F.col("f.dist") + F.col("e.cost")).alias("dist"),
-            step_path.alias("path"),
+            F.concat(F.col("f.path"), F.array(F.col("e.dst"))).alias("path"),
             F.lit(None).cast("double").alias("_old"),
         )
         merged = (
@@ -124,7 +115,6 @@ def multi_landmark_paths(
     *,
     max_hops: int,
     boosts: DataFrame | None = None,
-    track_paths: bool = True,
 ) -> DataFrame:
     """Shortest paths from every landmark of every summary, in one pass.
 
@@ -139,8 +129,6 @@ def multi_landmark_paths(
     Returns:
         ``(sid, landmark, node, dist, path)`` where ``path`` is the node array
         from ``landmark`` to ``node`` inclusive; one row per reached node.
-        With ``track_paths=False`` the path column is a constant empty array
-        (distance-only queries shuffle far less at full graph scale).
     """
     best = _relax(
         edges,
@@ -148,7 +136,6 @@ def multi_landmark_paths(
         key=["sid", "landmark", "node"],
         max_hops=max_hops,
         boosts=boosts,
-        track_paths=track_paths,
     )
     return best.select("sid", "landmark", "node", "dist", "path")
 

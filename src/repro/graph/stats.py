@@ -98,7 +98,7 @@ def path_length_stats(
         .select(F.lit(0).alias("sid"), F.col("id").alias("landmark"))
     )
     edges = kg.undirected().select("src", "dst", F.lit(1.0).alias("cost"))
-    dists = multi_landmark_paths(edges, landmarks, max_hops=max_hops, track_paths=False)
+    dists = multi_landmark_paths(edges, landmarks, max_hops=max_hops)
     row = (
         dists.where(F.col("dist") > 0)
         .agg(F.avg("dist").alias("avg"), F.max("dist").alias("diam"))

@@ -1,9 +1,10 @@
 """Smoke tests: every jobs/ entrypoint's run() works end-to-end (tiny scale)."""
 import sys
+from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, "jobs")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "jobs"))
 
 
 def test_table1_job(spark):

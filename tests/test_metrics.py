@@ -238,11 +238,10 @@ def test_every_metric_matches_reference_on_lite_summaries(spark, ml1m_lite, lite
     assert ghost_row["relevance"] == 0 and ghost_row["n_nodes"] == 2
 
 
-def test_summary_from_paths_dedup_and_multiset():
+def test_summary_from_paths_keeps_a_multiset():
     req = SummaryRequest(
         sid="user:0", scenario="user-centric", centers=(0,), targets=((1, 3),), paths=((1, (0, 1, 3)),)
     )
-    multi = summary_from_paths(req, "bl", 1, [(0, 1, 3), (0, 1, 3)], dedup=False)
-    dedup = summary_from_paths(req, "st", 1, [(0, 1, 3), (0, 1, 3)], dedup=True)
-    assert len(multi.edges) == 4 and len(dedup.edges) == 2
-    assert multi.nodes == dedup.nodes == frozenset({0, 1, 3})
+    multi = summary_from_paths(req, "bl", 1, [(0, 1, 3), (0, 1, 3)])
+    assert len(multi.edges) == 4
+    assert multi.nodes == frozenset({0, 1, 3})

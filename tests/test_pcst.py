@@ -1,8 +1,11 @@
 """Algorithm 2 (PCST summaries): connectivity, prize trade-off, scaling shape."""
+from itertools import combinations
+
 import networkx as nx
+import numpy as np
 import pytest
 
-from repro.core.pcst import pcst_summaries
+from repro.core.pcst import EDGE_COST, PRIZE, pcst_summaries
 from repro.core.scenarios import SummaryRequest
 from repro.graph.model import ETYPE_UI
 from tests.conftest import make_kg, nx_of, random_kg
@@ -93,3 +96,47 @@ def test_pcst_larger_or_equal_than_steiner_on_lite(lite_summaries):
     pc = {(s.sid, s.k): s.n_edges() for s in lite_summaries["pcst"]}
     bigger = sum(1 for key in st if pc.get(key, 0) >= st[key])
     assert bigger >= 0.6 * len(st)
+
+
+def test_component_with_most_terminals_then_centers_is_kept(spark):
+    # Two components, {0-1-2} and {10-11}, with center 10. At k=1 both hold
+    # two terminals and the center's wins, although its root is the larger;
+    # at k=2 terminal 2 makes the other component the larger, and it wins.
+    kg = make_kg(spark, [(0, 1, 1.0, ETYPE_UI), (1, 2, 1.0, ETYPE_UI), (10, 11, 1.0, ETYPE_UI)])
+    req = SummaryRequest(
+        sid="user:10",
+        scenario="user-centric",
+        centers=(10,),
+        targets=((1, 11), (1, 0), (1, 1), (2, 2)),
+        paths=(),
+    )
+    out = {s.k: s for s in pcst_summaries(spark, kg, [req], ks=[1, 2], max_hops=4)}
+    assert out[1].edges == ((10, 11),)
+    assert out[2].edges == ((0, 1), (1, 2))
+    assert 10 not in out[2].nodes
+
+
+def _brute_force_pcst_cost(g: nx.Graph, terminals) -> float:
+    """Exact prize-collecting optimum at PCST's unit costs: the cheapest
+    connected node set S, paying EDGE_COST per edge of a spanning tree of S
+    and PRIZE per terminal left out of S.
+    """
+    best = PRIZE * len(terminals)  # S empty: every prize forgone
+    for r in range(1, g.number_of_nodes() + 1):
+        for s in combinations(g.nodes, r):
+            if nx.is_connected(g.subgraph(s)):
+                forgone = len(set(terminals) - set(s))
+                best = min(best, EDGE_COST * (r - 1) + PRIZE * forgone)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_objective_is_at_least_the_brute_force_optimum(spark, seed):
+    # 9 nodes: no simple path exceeds 8 edges, so max_hops=8 does not bind.
+    kg = random_kg(spark, n=9, m=11, seed=seed)
+    g = nx_of(kg)
+    rng = np.random.default_rng(seed)
+    terminals = [int(t) for t in rng.choice(9, size=4, replace=False)]
+    (s,) = pcst_summaries(spark, kg, [_req(terminals)], max_hops=8)
+    got = EDGE_COST * len(s.edges) + PRIZE * len(set(terminals) - s.nodes)
+    assert got >= _brute_force_pcst_cost(g, terminals) - 1e-9

@@ -125,7 +125,7 @@ def test_dsu_union_find():
 def test_merge_phase_respects_budget(n, cost):
     terms = set(range(n))
     cands = [(cost, i, i + 1, (i, i + 1)) for i in range(n - 1)]
-    dsu, accepted = _merge_phase(cands, terms, terms, prize=1.0)
+    dsu, accepted = _merge_phase(cands, terms, prize=1.0)
     # total spent cost never exceeds total prize
     assert len(accepted) * cost <= n * 1.0 + 1e-9
 
@@ -137,7 +137,7 @@ def test_merge_phase_accepts_a_merge_its_prizes_pay_for(prize, cost, merged):
     # Two terminals hold 2·prize: at PCST's edge cost 0.25 a 13-edge chain
     # (3.25) needs prize 2, a 4-edge one (1.0) fits prize 1.
     terms = {0, 13}
-    dsu, accepted = _merge_phase([(cost, 0, 13, (0, 13))], terms, terms, prize=prize)
+    dsu, accepted = _merge_phase([(cost, 0, 13, (0, 13))], terms, prize=prize)
     assert (dsu.find(0) == dsu.find(13)) is merged
     assert len(accepted) == int(merged)
 
@@ -145,14 +145,14 @@ def test_merge_phase_accepts_a_merge_its_prizes_pay_for(prize, cost, merged):
 def test_merge_phase_zero_budget_rejects_everything():
     terms = {0, 1}
     cands = [(0.5, 0, 1, (0, 1))]
-    _, accepted = _merge_phase(cands, set(), terms, prize=1.0)
+    _, accepted = _merge_phase(cands, set(), prize=1.0)
     assert accepted == []
 
 
 def test_merge_phase_prefers_cheap_edges():
     terms = {0, 1, 2}
     cands = [(1.9, 0, 1, (0, 1)), (0.1, 1, 2, (1, 2)), (1.95, 0, 2, (0, 2))]
-    dsu, accepted = _merge_phase(cands, terms, terms, prize=1.0)
+    dsu, accepted = _merge_phase(cands, terms, prize=1.0)
     assert (1, 2, (1, 2)) in accepted
 
 
@@ -163,7 +163,7 @@ def test_merge_phase_breaks_rounding_ties_by_pair():
     assert near != 3.6 and near < 3.6
     terms = {1, 2, 3}
     cands = [(near, 2, 3, (2, 3)), (3.6, 1, 3, (1, 3)), (3.6, 1, 2, (1, 2))]
-    _, accepted = _merge_phase(cands, terms, terms, prize=float("inf"))
+    _, accepted = _merge_phase(cands, terms, prize=float("inf"))
     assert [(ra, rb) for ra, rb, _ in accepted] == [(1, 2), (1, 3)]
 
 
@@ -209,7 +209,7 @@ def _mk(edges, paths=()):
 @given(random_paths())
 def test_reference_metrics_ranges(paths):
     req = SummaryRequest(sid="x", scenario="s", centers=(0,), targets=(), paths=())
-    s = summary_from_paths(req, "m", 1, [p for p in paths], dedup=False)
+    s = summary_from_paths(req, "m", 1, [p for p in paths])
     assert 0 <= ref.diversity(s) <= 1
     assert 0 <= ref.redundancy(s) < 1
     c = ref.comprehensibility(s)

@@ -4,6 +4,9 @@ from itertools import chain, combinations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from networkx.algorithms.approximation import steiner_tree
 
 from repro.core import steiner
 from repro.core.pcst import pcst_summaries
@@ -73,6 +76,39 @@ def test_two_approximation_vs_brute_force(spark, seed):
     got = sum(costs[e] for e in s.edges)
     assert got <= 2.0 * opt + 1e-9
     _tree_checks(s, terminals)
+
+
+@hst.composite
+def _connected_graph(draw):
+    """A random spanning tree on 3–12 nodes plus extra edges, weights in
+    [0.5, 5], and 2–6 distinct terminals.
+    """
+    n = draw(hst.integers(3, 12))
+    nodes = hst.integers(0, n - 1)
+    edges = {(draw(hst.integers(0, i - 1)), i) for i in range(1, n)}
+    extra = draw(hst.lists(hst.tuples(nodes, nodes), max_size=n))
+    edges = sorted(edges | {(min(a, b), max(a, b)) for a, b in extra if a != b})
+    weights = draw(hst.lists(hst.floats(0.5, 5.0), min_size=len(edges), max_size=len(edges)))
+    terminals = draw(hst.lists(nodes, min_size=2, max_size=min(n, 6), unique=True))
+    return n, [(a, b, w, ETYPE_UI) for (a, b), w in zip(edges, weights)], terminals
+
+
+@settings(max_examples=8, deadline=None)
+@given(_connected_graph())
+def test_within_twice_networkx_steiner_trees(spark, graph):
+    # λ = 0 and max_hops = n − 1: the hop limit binds no simple path.
+    n, edges, terminals = graph
+    kg = make_kg(spark, edges)
+    costs = _edge_costs(kg)
+    g = nx_of(kg)
+    for a, b in g.edges:
+        g[a][b]["cost"] = costs[(min(a, b), max(a, b))]
+    (s,) = steiner_summaries(spark, kg, [_req(terminals)], lam=0.0, max_hops=n - 1)
+    _tree_checks(s, terminals)
+    got = sum(costs[e] for e in s.edges)
+    for method in ("kou", "mehlhorn"):
+        ref = steiner_tree(g, terminals, weight="cost", method=method)
+        assert got <= 2.0 * ref.size(weight="cost") + 1e-9, method
 
 
 @pytest.mark.parametrize("seed", [4, 5])

@@ -42,7 +42,7 @@ def test_baseline_summary_is_multiset():
 
 def test_summary_from_paths_nodes_cover_paths():
     req = _req()
-    s = summary_from_paths(req, "m", 3, [(0, 11, 101), (0, 12, 102)], dedup=True)
+    s = summary_from_paths(req, "m", 3, [(0, 11, 101), (0, 12, 102)])
     assert s.nodes == frozenset({0, 11, 101, 12, 102})
     assert s.n_nodes() == 5
     assert s.n_edges() == 4
@@ -50,8 +50,8 @@ def test_summary_from_paths_nodes_cover_paths():
 
 def test_summary_terminals_recorded_per_k():
     req = _req()
-    s1 = summary_from_paths(req, "m", 1, [], dedup=True)
-    s3 = summary_from_paths(req, "m", 3, [], dedup=True)
+    s1 = summary_from_paths(req, "m", 1, [])
+    s3 = summary_from_paths(req, "m", 3, [])
     assert set(s1.terminals) == {0, 101}
     assert set(s3.terminals) == {0, 101, 102, 103}
 
@@ -65,12 +65,12 @@ def test_summary_carries_scenario(scenario):
 
 def test_summary_is_hashable_frozen():
     req = _req()
-    s = summary_from_paths(req, "m", 1, [(0, 11, 101)], dedup=True)
+    s = summary_from_paths(req, "m", 1, [(0, 11, 101)])
     with pytest.raises(Exception):
         s.k = 5  # frozen dataclass
 
 
 def test_empty_paths_give_empty_summary():
     req = _req()
-    s = summary_from_paths(req, "m", 1, [], dedup=True)
+    s = summary_from_paths(req, "m", 1, [])
     assert s.n_edges() == 0 and s.n_nodes() == 0
