@@ -5,12 +5,13 @@ cost) and uses node prizes 1 for terminals / 0 otherwise. The implementation
 is a Goemans–Williamson-style two-phase scheme whose cost profile matches
 what the paper reports (|T|-independent scaling, larger-than-ST summaries):
 
-1. **Voronoi partition (Spark)** — one nearest-terminal BFS over the graph
-   (:func:`repro.graph.sssp.voronoi_partition`); its cost depends on
-   |V|+|E|, *not* |T|.
-2. **Cluster merging (driver)** — boundary edges between Voronoi cells give
-   candidate terminal-to-terminal connections (cost = dist to one root +
-   edge + dist to other root). Clusters start with their terminal's prize as
+1. **Voronoi partition (one Spark job)** — one task item per request: one
+   nearest-terminal BFS from all its terminals (:func:`repro.graph.sssp.relax`
+   keyed by node); its cost depends on the graph around the terminals, *not*
+   |T|. Boundary edges between Voronoi cells give candidate
+   terminal-to-terminal connections (cost = dist to one root + edge + dist to
+   other root), and only the cheapest per pair of roots leaves the task.
+2. **Cluster merging (driver)** — clusters start with their terminal's prize as
    budget and greedily accept the cheapest merge whose cost fits the merged
    budget — the prize-collecting trade-off ``C(S) = Σw'(e) − Σp(v)``:
    a merge is worth it only while the collected prizes pay for the edges.
@@ -27,19 +28,41 @@ For incremental ``k`` the Voronoi pass runs once with all k_max terminals;
 at smaller ``k`` the excluded terminals keep prize 0 and act only as relays.
 """
 from collections import Counter
+from functools import partial
 
+import numpy as np
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import Summary, _collect_pairs, _merge_phase, _path_edges, _terminal_frame
+from repro.core.summary import Summary, _merge_phase, _path_edges
 from repro.graph.model import KG
-from repro.graph.sssp import voronoi_partition
+from repro.graph.sssp import Edges, cheapest_pairs, collect_edges, fan_out, join_paths, out_edges, relax
+from repro.graph.sssp import voronoi_partition  # noqa: F401 (perfbench/run.py traces it by name)
 
 # Unit edge cost c and terminal prize (0 for non-terminals): two terminals
 # merge across at most 2·PRIZE/EDGE_COST = 8 edges (DESIGN.md §4).
 EDGE_COST = 0.25
 PRIZE = 1.0
+
+
+def _boundary_task(edges: Edges, items, *, max_hops: int):
+    """Per summary, the cheapest root↔root connection through one cell
+    edge: each ``src < dst`` row of ``edges`` whose ends lie in different
+    cells, as ``(cost, ra, rb, path)`` with ``ra < rb``. The path runs from
+    the ``src`` end's root to the ``dst`` end's.
+    """
+    for sid, terminals in items:
+        cells = relax(edges, terminals, max_hops=max_hops, per_landmark=False)
+        u, pos = out_edges(edges, cells.node)
+        dst = edges.dst[pos]
+        v = np.minimum(np.searchsorted(cells.node, dst), len(cells.node) - 1)
+        ok = (cells.node[v] == dst) & (cells.node[u] < dst) & (cells.landmark[u] != cells.landmark[v])
+        u, v, pos = u[ok], v[ok], pos[ok]
+        cost = cells.dist[u] + edges.cost[pos] + cells.dist[v]
+        path = join_paths(cells.path[u], cells.path[v], skip=0)
+        ru, rv = cells.landmark[u], cells.landmark[v]
+        yield sid, cheapest_pairs(cost, np.minimum(ru, rv), np.maximum(ru, rv), path)
 
 
 def pcst_summaries(
@@ -57,25 +80,10 @@ def pcst_summaries(
     k_top = max(r.k_max() for r in requests)
     ks = ks or [k_top]
 
-    edges = kg.undirected().select("src", "dst", F.lit(EDGE_COST).alias("cost"))
-    cells = voronoi_partition(edges, _terminal_frame(spark, requests, k_top), max_hops=max_hops)
-
-    # Boundary candidates: one root↔root connection per cell edge.
-    u, v = cells.alias("u"), cells.alias("v")
-    und = kg.undirected().select("src", "dst").where(F.col("src") < F.col("dst"))
-    cand = (
-        F.broadcast(und).join(u, F.col("src") == F.col("u.node"))
-        .join(v, (F.col("dst") == F.col("v.node")) & (F.col("u.sid") == F.col("v.sid")))
-        .where(F.col("u.root") != F.col("v.root"))
-        .select(
-            F.col("u.sid").alias("sid"),
-            F.least("u.root", "v.root").alias("ra"),
-            F.greatest("u.root", "v.root").alias("rb"),
-            (F.col("u.dist") + F.lit(EDGE_COST) + F.col("v.dist")).alias("cost"),
-            F.concat("u.path", F.reverse("v.path")).alias("path"),
-        )
-    )
-    by_sid = _collect_pairs(cand)
+    edges = collect_edges(kg.undirected().select("src", "dst", F.lit(EDGE_COST).alias("cost")))
+    items = [(r.sid, r.terminals(k_top)) for r in requests]
+    task = partial(_boundary_task, max_hops=max_hops)
+    by_sid = dict(fan_out(spark.sparkContext, edges, items, task))
 
     out: list[Summary] = []
     for req in requests:

@@ -2,20 +2,20 @@
 
 Stage split between Spark and the driver:
 
-1. **Metric closure (Spark)** — batched multi-landmark shortest-path runs
-   serve every request: landmarks are all terminals of all requests, and the
-   per-request Eq. 1 boost rides along as a small table of alternative edge
-   costs, never above the shared ones (see :mod:`repro.graph.sssp`). Only
-   terminal→terminal distances are needed, so the search meets in the middle
-   (bidirectional search, Pohl 1971): every path of at most ``max_hops`` = H
-   edges splits at a node into a ≤⌈H/2⌉ half from one terminal and a
-   ≤⌊H/2⌋ half from the other. The kernel relaxes ⌈H/2⌉ rounds (plus a
-   ⌊H/2⌋-round run when H is odd), and one join on ``(sid, node)`` pairs
-   each smaller terminal's half with each larger terminal's half; the
-   cheapest meeting per pair is its closure edge. Costs are symmetric, so
-   each closure pair reaches the driver once, from the smaller terminal.
-   Paths are carried as array columns, so Algorithm 1's "replace closure
-   edge with its shortest path" step is a concatenation of the two halves.
+1. **Metric closure (one Spark job)** — one task item per request: its
+   terminals and its Eq. 1 boost rows, alternative edge costs never above
+   the shared ones (see :mod:`repro.graph.sssp`). Only terminal→terminal
+   distances are needed, so the search meets in the middle (bidirectional
+   search, Pohl 1971): every path of at most ``max_hops`` = H edges splits at
+   a node into a ≤⌈H/2⌉ half from one terminal and a ≤⌊H/2⌋ half from the
+   other. The kernel relaxes ⌈H/2⌉ rounds (plus a ⌊H/2⌋-round run when H is
+   odd), and a min-plus product of the terminals × meeting-nodes distance
+   matrices pairs each smaller terminal's half with each larger terminal's
+   half; the cheapest meeting per pair is its closure edge. Costs are
+   symmetric, so each closure pair reaches the driver once, from the smaller
+   terminal. Algorithm 1's "replace closure edge with its shortest path" step
+   is a concatenation of the two halves, built only for the cheapest
+   meetings.
 2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: the
    closure MST is PCST's cluster merge with unlimited prizes, i.e. Kruskal
    over the k-restricted closure (:func:`repro.core.summary._merge_phase`);
@@ -28,47 +28,97 @@ merged component holding the first terminal is kept (the summary stays
 weakly connected, which the problem definition requires).
 """
 from collections import defaultdict
+from functools import partial
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import numpy as np
+from pyspark import SparkContext
+from pyspark.sql import SparkSession
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import (
-    _DSU, Summary, _collect_pairs, _merge_phase, _norm, _path_edges, _terminal_frame
-)
+from repro.core.summary import _DSU, Summary, _merge_phase, _norm, _path_edges
 from repro.core.weights import base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
-from repro.graph.sssp import multi_landmark_paths
+from repro.graph.sssp import (
+    Edges,
+    Paths,
+    cheapest_pairs,
+    collect_edges,
+    edges_by_sid,
+    fan_out,
+    join_paths,
+    relax,
+)
+from repro.graph.sssp import multi_landmark_paths  # noqa: F401 (perfbench/run.py traces it by name)
 
 _INF = float("inf")
+# Float64 sums per min-plus chunk (32 MiB).
+_CHUNK = 1 << 22
+
+
+def _meet(near: Paths, far: Paths) -> list[tuple[float, int, int, tuple[int, ...]]]:
+    """Closure edges ``(cost, ra, rb, path)``, ``ra < rb``: the cheapest
+    ``near[ra] + far[rb]`` over the nodes both halves reach, a tie in cost
+    going to the smaller path.
+
+    The sums are a min-plus product of two terminals × nodes matrices, taken
+    in chunks of ``ra`` rows; paths are built only for the tied minima. Only
+    a node that two terminals reach can join two halves.
+    """
+    terms = np.unique(near.landmark)
+    nodes, count = np.unique(near.node, return_counts=True)
+    meet = nodes[count > 1]
+    if not len(meet):
+        return []
+
+    def grid(p: Paths) -> tuple[np.ndarray, np.ndarray]:
+        ok = np.flatnonzero(np.isin(p.node, meet))
+        at = (np.searchsorted(terms, p.landmark[ok]), np.searchsorted(meet, p.node[ok]))
+        dist = np.full((len(terms), len(meet)), np.inf)
+        dist[at] = p.dist[ok]
+        row = np.zeros(dist.shape, np.int64)
+        row[at] = ok
+        return dist, row
+
+    (a, ia), (b, ib) = grid(near), grid(far)
+    n = len(terms)
+    step = max(1, _CHUNK // max(n * len(meet), 1))
+    hits = []
+    for i0 in range(0, n - 1, step):
+        i1 = min(i0 + step, n - 1)
+        s = a[i0:i1, None, :] + b[None, i0 + 1 :, :]  # s[i, j] pairs i0 + i with i0 + 1 + j
+        low = s.min(axis=2)
+        ok = np.isfinite(low) & (np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None])
+        i, j, m = np.nonzero((s == low[:, :, None]) & ok[:, :, None])
+        hits.append((i + i0, j + i0 + 1, m))
+    i, j, m = (np.concatenate(h) for h in zip(*hits))
+    path = join_paths(near.path[ia[i, m]], far.path[ib[j, m]], skip=1)
+    return cheapest_pairs(a[i, m] + b[j, m], terms[i], terms[j], path)
+
+
+def _closure_task(edges: Edges, items, *, max_hops: int):
+    for sid, terminals, boosts in items:
+        near = relax(
+            edges, terminals, max_hops=(max_hops + 1) // 2, per_landmark=True, boosts=boosts
+        )
+        far = (
+            near
+            if max_hops % 2 == 0
+            else relax(edges, terminals, max_hops=max_hops // 2, per_landmark=True, boosts=boosts)
+        )
+        yield sid, _meet(near, far)
 
 
 def _metric_closure(
-    edges: DataFrame, sources: DataFrame, *, max_hops: int, boosts: DataFrame | None
-) -> DataFrame:
-    """``(sid, ra, rb, cost, path)``: every ≤``max_hops`` path between a pair
-    ``ra < rb`` of a summary's terminals that the two halves meet on, one
-    row per meeting node. :func:`~repro.core.summary._collect_pairs` keeps
-    the cheapest per pair, the closure edge.
+    sc: SparkContext, edges: Edges, terminals: dict, boosts: dict, *, max_hops: int
+) -> dict[str, list[tuple[float, int, int, tuple[int, ...]]]]:
+    """``{sid: [(cost, ra, rb, path)]}``: the closure edge of every terminal
+    pair ``ra < rb`` of every summary joined by a path of at most
+    ``max_hops`` edges; one Spark job, one task item per summary.
 
-    A path of h hops from ``ra`` splits at hop ``min(⌈H/2⌉, h)``, so ``ra``'s
-    ⌈H/2⌉-hop half joined with ``rb``'s ⌊H/2⌋-hop half at a shared node
-    covers it. The join emits Σ c² rows over nodes with c same-summary
-    halves, so it takes one orientation only.
+    ``terminals`` is ``{sid: [node]}``, ``boosts`` ``{sid: Edges}``.
     """
-    near = multi_landmark_paths(edges, sources, max_hops=(max_hops + 1) // 2, boosts=boosts)
-    far = (
-        near
-        if max_hops % 2 == 0
-        else multi_landmark_paths(edges, sources, max_hops=max_hops // 2, boosts=boosts)
-    )
-    a = near.toDF("sid", "ra", "node", "da", "pa")
-    b = far.toDF("sid", "rb", "node", "db", "pb")
-    # b's path runs rb → node; reversed and without the meeting node it ends ra's.
-    tail = F.slice(F.reverse("pb"), 2, F.size("pb"))
-    pairs = a.join(b, ["sid", "node"]).where(F.col("ra") < F.col("rb"))
-    cost = (F.col("da") + F.col("db")).alias("cost")
-    return pairs.select("sid", "ra", "rb", cost, F.concat("pa", tail).alias("path"))
+    items = [(sid, ts, boosts.get(sid)) for sid, ts in terminals.items()]
+    return dict(fan_out(sc, edges, items, partial(_closure_task, max_hops=max_hops)))
 
 
 def _closure_mst(
@@ -129,11 +179,10 @@ def steiner_summaries(
     ks = ks or [k_top]
 
     w_cap = w_cap_for(kg, lam)
-    edges = base_cost_edges(kg, w_cap)
-    boosts = boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top)
-
-    sources = _terminal_frame(spark, requests, k_top)
-    closure = _collect_pairs(_metric_closure(edges, sources, max_hops=max_hops, boosts=boosts))
+    edges = collect_edges(base_cost_edges(kg, w_cap))
+    boosts = edges_by_sid(boost_table(spark, kg, requests, lam=lam, w_cap=w_cap, k=k_top))
+    terminals = {r.sid: r.terminals(k_top) for r in requests}
+    closure = _metric_closure(spark.sparkContext, edges, terminals, boosts, max_hops=max_hops)
 
     out: list[Summary] = []
     for req in requests:

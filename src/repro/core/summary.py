@@ -8,16 +8,10 @@ edge multiset drives every edge metric (for baselines the multiset union of
 the k paths is exactly the ``|E| = 3k`` the paper plots); the paths are kept
 for inspection.
 
-The stages both summarizers share live here too: :func:`_terminal_frame`
-(the kernel's seeds), :func:`_collect_pairs` (the cheapest candidate per
-terminal pair, collected) and :func:`_merge_phase`.
+The driver stage both summarizers share lives here too: :func:`_merge_phase`.
 """
 from collections import defaultdict
 from dataclasses import dataclass
-
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.scenarios import SummaryRequest
 
@@ -97,35 +91,6 @@ def _merge_phase(
             budget[fb] = budget[fa] + budget[fb] - cost
             accepted.append((ra, rb, path))
     return dsu, accepted
-
-
-def _terminal_frame(spark: SparkSession, requests: list[SummaryRequest], k: int) -> DataFrame:
-    """``(sid, landmark)``: every request's terminals at cut-off ``k``, the
-    seeds of both kernel entry points.
-    """
-    rows = [(r.sid, int(t)) for r in requests for t in r.terminals(k)]
-    return spark.createDataFrame(
-        pd.DataFrame(rows, columns=["sid", "landmark"]), "sid: string, landmark: long"
-    )
-
-
-def _collect_pairs(cands: DataFrame) -> dict[str, list[tuple[float, int, int, tuple[int, ...]]]]:
-    """The cheapest of the candidate rows ``(sid, ra, rb, cost, path)`` per
-    ``(sid, ra, rb)``, as ``{sid: [(cost, ra, rb, path)]}``.
-
-    Ties in cost go to the smaller path array.
-    """
-    best = (
-        cands.groupBy("sid", "ra", "rb")
-        .agg(F.min(F.struct("cost", "path")).alias("_m"))
-        .select("sid", "ra", "rb", "_m.cost", "_m.path")
-    )
-    by_sid: dict[str, list] = defaultdict(list)
-    for r in best.collect():
-        by_sid[r["sid"]].append(
-            (float(r["cost"]), int(r["ra"]), int(r["rb"]), tuple(int(n) for n in r["path"]))
-        )
-    return by_sid
 
 
 def summary_from_paths(

@@ -1,10 +1,10 @@
-"""GraphFrames-lite: graph primitives on Spark DataFrames.
+"""GraphFrames-lite: the graph primitives the reproduction needs, on Spark.
 
-GraphFrames/GraphX are unavailable offline, so this package implements the
-aggregate-messages pattern the reproduction needs directly on the DataFrame
-API: one relaxation kernel (`sssp`) serving batched multi-landmark shortest
-paths and nearest-terminal BFS (Voronoi cells), and graph statistics
-(`stats`), over a shared :class:`~repro.graph.model.KG` edge/node layout.
+GraphFrames/GraphX are unavailable offline, so this package implements them
+directly: one relaxation kernel (`sssp`, numpy, run per summary in one Spark
+fan-out job) serving multi-landmark shortest paths and nearest-terminal BFS
+(Voronoi cells), and graph statistics (`stats`, DataFrame aggregates), over
+a shared :class:`~repro.graph.model.KG` edge/node layout.
 """
 from repro.graph.model import KG, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
 

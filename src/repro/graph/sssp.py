@@ -1,112 +1,276 @@
-"""Hop-limited shortest paths on Spark DataFrames: one relaxation kernel.
+"""Hop-limited shortest paths: one numpy relaxation kernel, run per summary.
 
-Both summarizers run the same iterative relaxation, the aggregate-messages
-pattern of GraphX/GraphFrames expressed in Catalyst. State rows are
-``(sid, landmark, node, dist, path)``; each round joins the frontier against
-the edge table and keeps the minimum ``(dist, landmark, path)`` per state key.
-A round is one aggregate: the same ``groupBy`` also yields each key's distance
-before the round, so the next frontier, the rows that beat it, is a filter of
-that one checkpointed result. Both uses take the same ``(sid, landmark)``
-seeds; the key is the only difference between them:
+The paper summarizes each request independently, and each summary's search
+stays within ``max_hops`` = H edges of its own terminals. So the kernel is a
+vectorized hop-limited Bellman–Ford over numpy arrays that runs per summary
+inside a Spark task, and a call is one fan-out job (:func:`fan_out`): the
+call's edge table is collected once and broadcast as arrays sorted by
+``src``, the items (a summary's seeds plus its Eq. 1 boost rows) are
+parallelized, and each task returns only what its caller keeps.
 
-* ``(sid, landmark, node)`` — :func:`multi_landmark_paths`, shortest paths from
-  every landmark of every summary at once. This is ST's metric closure
-  (Algorithm 1, step 2).
-* ``(sid, node)`` — :func:`voronoi_partition`, each node keeps only its nearest
-  terminal (the root of its Voronoi cell). One pass costs the same whatever
-  the number of terminals, the |T|-independence the paper credits PCST with
-  (Figs. 9–11).
+State rows are ``(landmark, node, dist, path)``. Each round expands the
+frontier along the shared edge table and the summary's boost rows and keeps
+the minimum ``(dist, landmark, path)`` per key. The next frontier is the rows
+that are new or beat the key's previous distance by more than ``_EPS``; an
+empty frontier ends the loop early. Paths are rows of an int64 matrix padded
+with −1, so ``np.lexsort`` orders them as Spark orders arrays (elementwise, a
+prefix first) and a tie in distance goes to the smaller path, as Spark's
+``min(struct(dist, landmark, path))`` did when this kernel was a Catalyst
+round loop. Node ids must therefore be ≥ 0. The key is the only difference
+between the two uses:
 
-Costs are strictly positive, so hop-limited Bellman–Ford rounds converge to
-Dijkstra's answer for paths of at most ``max_hops`` edges. The path is carried
-as an array column (explanation paths are ≤3 edges, so arrays stay tiny),
-which makes Algorithm 1's path-unfolding step a column lookup. Per-summary
-Eq. 1 cost boosts arrive as a small ``(sid, src, dst, cost)`` table whose rows
-are added once per call to the shared edge table (null ``sid``), so the base
-graph is shared by all summaries and a round still runs one join.
+* ``(landmark, node)`` — shortest paths from every landmark:
+  :func:`multi_landmark_paths`, and ST's metric closure (Algorithm 1, step 2).
+* ``node`` — each node keeps only its nearest terminal, the root of its
+  Voronoi cell: :func:`voronoi_partition`, and PCST. One pass costs the same
+  whatever the number of terminals, the |T|-independence the paper credits
+  PCST with (Figs. 9–11).
 
-That edge table is the same in every round, so it is checkpointed once per
-call and broadcast into each round's join: the frontier, whose rows carry the
-path arrays, stays where the previous aggregate left it and crosses only the
-aggregate's shuffle. The session turns broadcast autotuning off
-(:mod:`repro.runtime`), so the hint is explicit.
+Costs are strictly positive, so H rounds give Dijkstra's answer for paths of
+at most H edges. A boost row is one more out-edge of its node for that
+summary only; it never costs more than the shared row it shadows, so the min
+picks it, and both carry the same path.
+
+:func:`multi_landmark_paths` and :func:`voronoi_partition` return DataFrames
+built from the kernel's rows, for :func:`repro.graph.stats.path_length_stats`
+and the tests; the summarizers call :func:`relax` in their own tasks.
 """
+from functools import partial
+from typing import NamedTuple
+
+import numpy as np
+import pandas as pd
+from pyspark import SparkContext
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 _EPS = 1e-9
 
 
-def _relax(
-    edges: DataFrame,
-    seeds: DataFrame,
-    *,
-    key: list[str],
-    max_hops: int,
-    boosts: DataFrame | None = None,
-) -> DataFrame:
-    """Relax from ``seeds`` ``(sid, landmark)`` for up to ``max_hops`` rounds.
+class Edges(NamedTuple):
+    """Directed ``(src, dst, cost)`` rows as arrays sorted by ``src``."""
 
-    Returns ``(sid, node, dist, landmark, path)``, one row per ``key``. The
-    ``min(struct(dist, landmark, path))`` tie-break makes the result
-    deterministic; ``landmark`` is constant within a group when it is part
-    of the key.
+    src: np.ndarray
+    dst: np.ndarray
+    cost: np.ndarray
 
-    The edge table (shared rows plus ``boosts``) is checkpointed once and
-    broadcast into every round's join. Each round is one aggregate,
-    checkpointed once. Its ``min(_old)`` is the key's distance before the
-    round (candidate rows carry null); the next frontier is the rows that are
-    new or beat it by more than ``_EPS``. An empty frontier ends the loop
-    early; the last round does not test for it.
+
+class Paths(NamedTuple):
+    """Kernel rows: ``path[i]`` runs from ``landmark[i]`` to ``node[i]``,
+    padded with −1 to the width ``max_hops + 1``.
     """
-    best = seeds.select(
-        "sid",
-        "landmark",
-        F.col("landmark").alias("node"),
-        F.lit(0.0).alias("dist"),
-        F.array(F.col("landmark")).alias("path"),
-    ).localCheckpoint(eager=True)
-    frontier = best
-    # Shared rows have a null sid and serve every summary. A boost row never
-    # costs more than the shared row it shadows, so the round's min picks it;
-    # both carry the same path.
-    costs = edges.select(F.lit(None).alias("sid"), "src", "dst", "cost")
-    if boosts is not None:
-        costs = costs.unionByName(boosts.select("sid", "src", "dst", "cost"))
-    costs = F.broadcast(costs.localCheckpoint(eager=True))
 
+    landmark: np.ndarray
+    node: np.ndarray
+    dist: np.ndarray
+    path: np.ndarray
+
+    def take(self, idx) -> "Paths":
+        return Paths(*(a[idx] for a in self))
+
+
+def _concat(parts) -> Paths:
+    return Paths(*map(np.concatenate, zip(*parts)))
+
+
+def _check_ids(*ids: np.ndarray) -> None:
+    if any(a.size and a.min() < 0 for a in ids):
+        raise ValueError("node ids must be >= 0: paths are padded with -1")
+
+
+def edge_arrays(src, dst, cost) -> Edges:
+    """:class:`Edges` from three columns."""
+    src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+    _check_ids(src, dst)
+    order = np.argsort(src, kind="stable")
+    return Edges(src[order], dst[order], np.asarray(cost, np.float64)[order])
+
+
+def collect_edges(edges: DataFrame) -> Edges:
+    """The ``(src, dst, cost)`` DataFrame as :class:`Edges`, in one job."""
+    pdf = edges.select("src", "dst", "cost").toPandas()
+    return edge_arrays(pdf["src"], pdf["dst"], pdf["cost"])
+
+
+def edges_by_sid(rows: DataFrame | None) -> dict:
+    """``(sid, src, dst, cost)`` rows, collected, as ``{sid: Edges}``."""
+    if rows is None:
+        return {}
+    pdf = rows.select("sid", "src", "dst", "cost").toPandas()
+    return {sid: edge_arrays(g["src"], g["dst"], g["cost"]) for sid, g in pdf.groupby("sid")}
+
+
+def out_edges(edges: Edges, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, pos)``: ``edges[pos]`` leaves ``nodes[row]``, for every such edge."""
+    lo = np.searchsorted(edges.src, nodes, "left")
+    n = np.searchsorted(edges.src, nodes, "right") - lo
+    row = np.repeat(np.arange(len(nodes)), n)
+    pos = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+    return row, pos
+
+
+def _expand(frontier: Paths, tables: list[Edges]) -> tuple[np.ndarray, ...]:
+    """``(row, node, dist)``: one candidate per edge leaving a frontier row."""
+    parts = []
+    for t in tables:
+        row, pos = out_edges(t, frontier.node)
+        parts.append((row, t.dst[pos], frontier.dist[row] + t.cost[pos]))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def relax(
+    edges: Edges,
+    landmarks,
+    *,
+    max_hops: int,
+    per_landmark: bool,
+    boosts: Edges | None = None,
+) -> Paths:
+    """Hop-limited Bellman–Ford from ``landmarks`` over ``edges`` and ``boosts``.
+
+    Keyed by ``(landmark, node)`` when ``per_landmark``, else by ``node``;
+    returns one row per key, sorted by key. A candidate that costs more than
+    its key's current row cannot win and is dropped before the sort; the
+    others are sorted with the key's current row, and the first per key wins.
+    Raises ``ValueError`` on a negative node id.
+    """
+    lm = np.unique(np.asarray(landmarks, np.int64))
+    _check_ids(lm)
+    tables = [edges] if boosts is None else [edges, boosts]
+    span = 1 + max([int(lm.max(initial=0))] + [int(t.dst.max(initial=0)) for t in tables])
+
+    def key(landmark: np.ndarray, node: np.ndarray) -> np.ndarray:
+        return np.searchsorted(lm, landmark) * span + node if per_landmark else node
+
+    path = np.full((lm.size, max_hops + 1), -1, np.int64)
+    path[:, 0] = lm
+    best = frontier = Paths(lm, lm.copy(), np.zeros(lm.size), path)
+    keys = key(best.landmark, best.node)
+    order = np.argsort(keys, kind="stable")
     for hop in range(1, max_hops + 1):
-        cand = frontier.alias("f").join(
-            costs.alias("e"),
-            (F.col("f.node") == F.col("e.src"))
-            & (F.col("e.sid").isNull() | (F.col("e.sid") == F.col("f.sid"))),
-        )
-        cand = cand.select(
-            F.col("f.sid").alias("sid"),
-            F.col("f.landmark").alias("landmark"),
-            F.col("e.dst").alias("node"),
-            (F.col("f.dist") + F.col("e.cost")).alias("dist"),
-            F.concat(F.col("f.path"), F.array(F.col("e.dst"))).alias("path"),
-            F.lit(None).cast("double").alias("_old"),
-        )
-        merged = (
-            best.withColumn("_old", F.col("dist"))
-            .unionByName(cand)
-            .groupBy(*key)
-            .agg(
-                F.min(F.struct("dist", "landmark", "path")).alias("_s"),
-                F.min("_old").alias("_old"),
-            )
-            .select("sid", "node", "_s.*", "_old")
-            .localCheckpoint(eager=True)
-        )
-        best = merged.drop("_old")
-        frontier = merged.where(
-            F.col("_old").isNull() | (F.col("dist") < F.col("_old") - _EPS)
-        ).drop("_old")
-        if hop < max_hops and frontier.isEmpty():
+        row, node, dist = _expand(frontier, tables)
+        ck = key(frontier.landmark[row], node)
+        sk = keys[order]
+        at = np.minimum(np.searchsorted(sk, ck), len(sk) - 1)
+        slot = np.where(sk[at] == ck, order[at], -1)
+        keep = dist <= np.where(slot >= 0, best.dist[slot], np.inf)
+        if not keep.any():
             break
-    return best
+        row, node, dist, ck, slot = row[keep], node[keep], dist[keep], ck[keep], slot[keep]
+        path = frontier.path[row]
+        path[:, hop] = node  # a round-``hop`` frontier row holds ``hop`` nodes
+        cand = Paths(frontier.landmark[row], node, dist, path)
+        held = np.unique(slot[slot >= 0])
+        group = _concat([best.take(held), cand])
+        gk = np.concatenate([keys[held], ck])
+        gslot = np.concatenate([held, slot])
+        old = np.concatenate([best.dist[held], np.full(len(ck), np.nan)])
+        # Columns past ``hop`` are −1 in every row of the group.
+        srt = np.lexsort((*group.path[:, hop::-1].T, group.landmark, group.dist, gk))
+        first = np.flatnonzero(np.r_[True, gk[srt][1:] != gk[srt][:-1]])
+        win = srt[first]
+        old = np.fmin.reduceat(old[srt], first)
+        frontier = group.take(win[np.isnan(old) | (group.dist[win] < old - _EPS)])
+        # Write the winners back: in place for held keys, appended for new ones.
+        wslot = gslot[win]
+        for a, w in zip(best, group.take(win)):
+            a[wslot[wslot >= 0]] = w[wslot >= 0]
+        new = win[wslot < 0]
+        best = _concat([best, group.take(new)])
+        keys = np.concatenate([keys, gk[new]])
+        order = np.argsort(keys, kind="stable")
+        if len(frontier.node) == 0:
+            break
+    return best.take(order)
+
+
+def join_paths(a: np.ndarray, b: np.ndarray, *, skip: int) -> np.ndarray:
+    """Row-wise ``a`` followed by ``b`` reversed, without ``b``'s last
+    ``skip`` nodes (−1-padded in and out): ``skip=1`` drops the meeting node
+    two halves of a path share.
+    """
+    la, lb = (a >= 0).sum(1), (b >= 0).sum(1)
+    out = np.full((len(a), a.shape[1] + b.shape[1] - skip), -1, np.int64)
+    out[:, : a.shape[1]] = a
+    rows = np.arange(len(a))
+    for i in range(b.shape[1] - skip):
+        sel = i < lb - skip
+        out[rows[sel], la[sel] + i] = b[rows[sel], lb[sel] - 1 - skip - i]
+    return out
+
+
+def cheapest_pairs(cost, ra, rb, path) -> list[tuple[float, int, int, tuple[int, ...]]]:
+    """The cheapest ``(cost, ra, rb, path)`` per ``(ra, rb)``; a tie in cost
+    goes to the smaller path, as Spark's ``min(struct(cost, path))`` orders.
+    """
+    if not len(cost):
+        return []
+    srt = np.lexsort((*path.T[::-1], cost, rb, ra))
+    ra, rb = ra[srt], rb[srt]
+    first = np.r_[True, (ra[1:] != ra[:-1]) | (rb[1:] != rb[:-1])]
+    return [
+        (float(c), int(a), int(b), tuple(int(n) for n in p if n >= 0))
+        for c, a, b, p in zip(cost[srt][first], ra[first], rb[first], path[srt][first])
+    ]
+
+
+def _run(task, table, items):
+    return task(table.value, items)
+
+
+def fan_out(sc: SparkContext, edges: Edges, items: list, task) -> list:
+    """``task(edges, items)`` over ``items``, in one Spark job.
+
+    ``edges`` is broadcast once; the items are split into
+    ``min(len(items), defaultParallelism)`` partitions, and each partition's
+    task returns an iterable of rows, all collected. An RDD, not an Arrow
+    UDF: in a fresh JVM on a 4-core VM, the first Arrow UDF took 2.25 s
+    against 0.45 s for the RDD job.
+    """
+    if not items:
+        return []
+    table = sc.broadcast(edges)
+    try:
+        rdd = sc.parallelize(items, min(len(items), sc.defaultParallelism))
+        return rdd.mapPartitions(partial(_run, task, table)).collect()
+    finally:
+        table.destroy()
+
+
+def _seeds(seeds: DataFrame) -> pd.DataFrame:
+    return seeds.select("sid", "landmark").toPandas().drop_duplicates()
+
+
+def _frame(seeds: DataFrame, parts: list, root: str, width: int) -> DataFrame:
+    """``(sid, <root>, node, dist, path)`` from ``[(sid, Paths)]``."""
+    cols = [f"p{i}" for i in range(width)]
+    ids = np.zeros(0, np.int64)
+    p = _concat(q for _, q in parts) if parts else Paths(ids, ids, np.zeros(0), ids.reshape(0, width))
+    sid = pd.Series([s for s, _ in parts], dtype=None if parts else object)
+    pdf = pd.DataFrame(
+        {
+            "sid": sid.repeat([len(q.node) for _, q in parts]).to_numpy(),
+            root: p.landmark,
+            "node": p.node,
+            "dist": p.dist,
+            **{c: p.path[:, i] for i, c in enumerate(cols)},
+        }
+    )
+    sid_type = seeds.schema["sid"].dataType.simpleString()
+    schema = f"sid: {sid_type}, {root}: long, node: long, dist: double, "
+    df = seeds.sparkSession.createDataFrame(pdf, schema + ", ".join(f"{c}: long" for c in cols))
+    path = F.filter(F.array(*cols), lambda n: n >= 0).alias("path")
+    return df.select("sid", root, "node", "dist", path)
+
+
+def _landmark_task(edges: Edges, items, *, max_hops: int):
+    for sid, landmark, boosts in items:
+        yield sid, relax(edges, [landmark], max_hops=max_hops, per_landmark=True, boosts=boosts)
+
+
+def _cell_task(edges: Edges, items, *, max_hops: int):
+    for sid, terminals in items:
+        yield sid, relax(edges, terminals, max_hops=max_hops, per_landmark=False)
 
 
 def multi_landmark_paths(
@@ -116,7 +280,8 @@ def multi_landmark_paths(
     max_hops: int,
     boosts: DataFrame | None = None,
 ) -> DataFrame:
-    """Shortest paths from every landmark of every summary, in one pass.
+    """Shortest paths from every landmark of every summary, one task item per
+    ``(sid, landmark)``.
 
     Args:
         edges: symmetrized edge table ``(src, dst, cost)`` with ``cost > 0``.
@@ -130,18 +295,16 @@ def multi_landmark_paths(
         ``(sid, landmark, node, dist, path)`` where ``path`` is the node array
         from ``landmark`` to ``node`` inclusive; one row per reached node.
     """
-    best = _relax(
-        edges,
-        sources,
-        key=["sid", "landmark", "node"],
-        max_hops=max_hops,
-        boosts=boosts,
-    )
-    return best.select("sid", "landmark", "node", "dist", "path")
+    by_sid = edges_by_sid(boosts)
+    items = [(sid, int(lm), by_sid.get(sid)) for sid, lm in _seeds(sources).itertuples(index=False)]
+    task = partial(_landmark_task, max_hops=max_hops)
+    parts = fan_out(edges.sparkSession.sparkContext, collect_edges(edges), items, task)
+    return _frame(sources, parts, "landmark", max_hops + 1)
 
 
 def voronoi_partition(edges: DataFrame, seeds: DataFrame, *, max_hops: int) -> DataFrame:
-    """Assign every reachable node to its nearest terminal.
+    """Assign every reachable node to its nearest terminal, one task item per
+    summary.
 
     Args:
         edges: symmetrized ``(src, dst, cost)`` with ``cost > 0``.
@@ -154,5 +317,10 @@ def voronoi_partition(edges: DataFrame, seeds: DataFrame, *, max_hops: int) -> D
         (ties go to the smaller one), ``path`` the node array from ``root``
         to ``node`` inclusive.
     """
-    best = _relax(edges, seeds, key=["sid", "node"], max_hops=max_hops)
-    return best.select("sid", "node", F.col("landmark").alias("root"), "dist", "path")
+    pdf = _seeds(seeds)
+    items = [(sid, g["landmark"].to_numpy()) for sid, g in pdf.groupby("sid", sort=True)]
+    task = partial(_cell_task, max_hops=max_hops)
+    parts = fan_out(edges.sparkSession.sparkContext, collect_edges(edges), items, task)
+    return _frame(seeds, parts, "root", max_hops + 1).select(
+        "sid", "node", "root", "dist", "path"
+    )

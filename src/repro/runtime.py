@@ -4,16 +4,23 @@ Jobs and the tests' session fixture in conftest.py both get their session
 from :func:`job_session`, so they share one set of settings (local master,
 Arrow on) and job results match test expectations.
 
+The relaxation kernel runs in Python workers (:func:`repro.graph.sssp.fan_out`),
+which import ``repro`` by name, so :func:`configure_driver_env` puts the
+package root on ``PYTHONPATH`` before the JVM, whose environment the workers
+inherit, starts.
+
 Broadcast autotuning stays off (``autoBroadcastJoinThreshold=-1``): Spark
-picks no broadcast on its own. The summarize path places explicit
-``F.broadcast`` hints on its fixed sides instead: the relaxation kernel's
-edge table, the Eq. 1 path-edge frequencies and PCST's boundary edges (ST's
-closure pair join broadcasts neither side: both are closure state). Letting Spark choose is slower without the hints: a warm ST
-call on the benchmark's synth-user inputs (seed 31, 4 cores) took 5.07 s
-with the default 10 MB threshold against 4.39 s with ``-1`` (medians of 6).
-With the hints in place the two settings time the same (2.33 s vs 2.41 s).
+picks no broadcast on its own. The kernel broadcasts its edge table itself,
+once per call, as numpy arrays (``SparkContext.broadcast``), and the one
+join left on the summarize path, the Eq. 1 path-edge frequencies against the
+edge table, carries an explicit ``F.broadcast`` hint on the frequencies.
+When the kernel was a Catalyst round loop, letting Spark choose was slower
+without the hints: a warm ST call on the benchmark's synth-user inputs (seed
+31, 4 cores) took 5.07 s with the default 10 MB threshold against 4.39 s
+with ``-1`` (medians of 6).
 """
 import os
+from pathlib import Path
 
 # Shuffle partitions of every session. Summaries do not depend on the count
 # (tests/test_steiner.py checks 1, 4 and 64).
@@ -53,12 +60,17 @@ def _driver_mem() -> str:
 
 
 def configure_driver_env() -> None:
-    """Put master and driver memory into ``PYSPARK_SUBMIT_ARGS``.
+    """Put master and driver memory into ``PYSPARK_SUBMIT_ARGS`` and the
+    package root on ``PYTHONPATH``.
 
-    spark.driver.memory is read at JVM launch, not from SparkConf, so this
-    must run before the first SparkContext exists. Values already in the
-    environment win.
+    spark.driver.memory is read at JVM launch, not from SparkConf, and the
+    Python workers inherit the JVM's environment, so this must run before the
+    first SparkContext exists. Values already in the environment win.
     """
+    root = str(Path(__file__).resolve().parent.parent)
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if root not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([root, *paths])
     os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",

@@ -3,6 +3,7 @@ import networkx as nx
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import pcst_summaries, steiner_summaries
 from repro.graph.sssp import multi_landmark_paths, voronoi_partition
 from tests.conftest import hop_limited_bellman_ford, nx_of, random_kg
 
@@ -212,27 +213,62 @@ def test_voronoi_cell_is_nearest_landmark(spark, seed):
     assert {(r["sid"], r["node"]): (r["dist"], r["root"]) for r in cells} == nearest
 
 
-@pytest.mark.parametrize("which", ["multi_landmark_paths", "voronoi_partition"])
-def test_round_jobs(spark, which):
-    # A round is the edge table's broadcast, the aggregate's shuffle, its
-    # checkpoint and the convergence probe: each extra hop adds at most 4 jobs.
-    kg = random_kg(spark, n=30, m=60, seed=0)
-    edges, sources, boosts = _boosted_inputs(spark, kg)
+def _jobs(spark, group, fn) -> int:
+    """Spark jobs ``fn()`` runs, counted under its own job group."""
     sc = spark.sparkContext
     props = ("spark.jobGroup.id", "spark.job.description", "spark.job.interruptOnCancel")
     before = {k: sc.getLocalProperty(k) for k in props}
-    jobs = []
     try:
-        for max_hops in range(1, 5):
-            group = f"test-round-jobs-{which}-{max_hops}"
-            sc.setJobGroup(group, group)
-            if which == "multi_landmark_paths":
-                multi_landmark_paths(edges, sources, max_hops=max_hops, boosts=boosts)
-            else:
-                voronoi_partition(edges, sources, max_hops=max_hops)
-            sc._jsc.sc().listenerBus().waitUntilEmpty()
-            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+        sc.setJobGroup(group, group)
+        fn()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
     finally:
         for k, v in before.items():
             sc.setLocalProperty(k, v)
-    assert all(b - a <= 4 for a, b in zip(jobs, jobs[1:])), jobs
+
+
+@pytest.mark.parametrize("which", ["multi_landmark_paths", "voronoi_partition"])
+def test_round_jobs(spark, which):
+    # The rounds run inside one fan-out job, so jobs per call do not grow
+    # with max_hops.
+    kg = random_kg(spark, n=30, m=60, seed=0)
+    edges, sources, boosts = _boosted_inputs(spark, kg)
+    if which == "multi_landmark_paths":
+        run = lambda h: multi_landmark_paths(edges, sources, max_hops=h, boosts=boosts)
+    else:
+        run = lambda h: voronoi_partition(edges, sources, max_hops=h)
+    jobs = [_jobs(spark, f"test-round-jobs-{which}-{h}", lambda: run(h)) for h in range(1, 5)]
+    assert len(set(jobs)) == 1, jobs
+
+
+@pytest.mark.parametrize("method, most", [("st", 6), ("pcst", 3)])
+def test_summarize_jobs(spark, ml1m_lite, lite_requests, method, most):
+    # One fan-out job per call, plus the collects of its inputs.
+    _, kg = ml1m_lite
+    if method == "st":
+        run = lambda: steiner_summaries(spark, kg, lite_requests, lam=1.0, ks=[1, 5])
+    else:
+        run = lambda: pcst_summaries(spark, kg, lite_requests, ks=[1, 5])
+    jobs = _jobs(spark, f"test-summarize-jobs-{method}", run)
+    assert 0 < jobs <= most, jobs
+
+
+@pytest.mark.parametrize("which", ["multi_landmark_paths", "voronoi_partition"])
+def test_no_seeds_give_no_rows(spark, which):
+    kg = random_kg(spark, n=6, m=8, seed=0)
+    edges = _cost_edges(kg)
+    sources = spark.createDataFrame([], "sid: string, landmark: long")
+    if which == "multi_landmark_paths":
+        res = multi_landmark_paths(edges, sources, max_hops=3)
+    else:
+        res = voronoi_partition(edges, sources, max_hops=3)
+    assert res.collect() == []
+    assert res.columns[-2:] == ["dist", "path"]
+
+
+def test_negative_node_id_is_rejected(spark):
+    edges = spark.createDataFrame([(-1, 2, 1.0), (2, -1, 1.0)], "src: long, dst: long, cost: double")
+    sources = spark.createDataFrame([(0, 2)], "sid: int, landmark: long")
+    with pytest.raises(ValueError, match="node ids"):
+        multi_landmark_paths(edges, sources, max_hops=2)

@@ -12,9 +12,9 @@ from repro.core import steiner
 from repro.core.pcst import pcst_summaries
 from repro.core.scenarios import SummaryRequest, user_group_requests
 from repro.core.steiner import _metric_closure, steiner_summaries
-from repro.core.summary import _collect_pairs
 from repro.core.weights import COST_EPS, w_cap_for
 from repro.graph.model import ETYPE_UI
+from repro.graph.sssp import edge_arrays
 from tests.conftest import hop_limited_bellman_ford, make_kg, nx_of, random_kg
 
 
@@ -248,6 +248,12 @@ def test_summaries_do_not_depend_on_shuffle_partitions(
     assert any(edges for _, _, edges, _ in got[1])
 
 
+def _edges(costs):
+    """Kernel edge arrays from directed ``{(u, v): cost}``."""
+    src, dst = zip(*costs) if costs else ((), ())
+    return edge_arrays(src, dst, list(costs.values()))
+
+
 def _check_closure(spark, edges, boosts, terminals, max_hops):
     """ST's closure equals a hop-limited Bellman–Ford per summary, pair by pair.
 
@@ -257,24 +263,15 @@ def _check_closure(spark, edges, boosts, terminals, max_hops):
     shared = {}
     for (u, v), c in edges.items():
         shared[(u, v)] = shared[(v, u)] = c
-    boost_rows = [
-        (sid, a, b, c) for sid, bs in boosts.items() for (u, v), c in bs.items()
-        for a, b in ((u, v), (v, u))
-    ]
-    got = _collect_pairs(
-        _metric_closure(
-            spark.createDataFrame(
-                [(u, v, c) for (u, v), c in shared.items()], "src: long, dst: long, cost: double"
-            ),
-            spark.createDataFrame(
-                [(sid, t) for sid, ts in terminals.items() for t in ts],
-                "sid: string, landmark: long",
-            ),
-            max_hops=max_hops,
-            boosts=spark.createDataFrame(
-                boost_rows, "sid: string, src: long, dst: long, cost: double"
-            ),
-        )
+    got = _metric_closure(
+        spark.sparkContext,
+        _edges(shared),
+        terminals,
+        {
+            sid: _edges({e: c for (u, v), c in bs.items() for e in ((u, v), (v, u))})
+            for sid, bs in boosts.items()
+        },
+        max_hops=max_hops,
     )
     for sid, ts in terminals.items():
         costs = dict(shared)
@@ -334,14 +331,16 @@ def test_closure_respects_the_hop_limit(spark, max_hops):
 
 @pytest.mark.parametrize("max_hops, rounds", [(4, [2]), (5, [3, 2])])
 def test_closure_relaxes_half_the_hops(spark, monkeypatch, max_hops, rounds):
-    kernel = steiner.multi_landmark_paths
+    # The fan-out runs its task in this process, so the spy sees every call.
+    kernel = steiner.relax
     seen = []
 
     def spy(*args, **kwargs):
         seen.append(kwargs["max_hops"])
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(steiner, "multi_landmark_paths", spy)
+    monkeypatch.setattr(steiner, "relax", spy)
+    monkeypatch.setattr(steiner, "fan_out", lambda sc, edges, items, task: list(task(edges, items)))
     kg = make_kg(spark, [(a, a + 1, 1.0, ETYPE_UI) for a in range(5)])
     (s,) = steiner_summaries(spark, kg, [_req([0, 5])], lam=0.0, max_hops=max_hops)
     assert seen == rounds

@@ -1,0 +1,104 @@
+"""Equal-cost tie-breaks of ST's closure and PCST's boundary candidates.
+
+On unit-cost graphs full of equal-cost paths, each kernel row must be the
+``min(cost, path)`` over every walk of at most its hop limit, and each pair
+must keep the ``min(cost, path)`` of the candidates those rows make: the rule
+Spark's ``min(struct)`` applied. The references enumerate walks in pure
+Python; the tasks run in this process, without Spark.
+"""
+from itertools import combinations
+
+import pytest
+
+from repro.core.pcst import EDGE_COST, _boundary_task
+from repro.core.steiner import _closure_task
+from repro.graph.sssp import edge_arrays
+
+
+def _grid(rows, cols):
+    at = lambda r, c: r * cols + c
+    return [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)] + [
+        (at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)
+    ]
+
+
+GRAPHS = {
+    "grid": (_grid(3, 4), [0, 5, 11, 3]),
+    "k33": ([(a, b) for a in (0, 1, 2) for b in (3, 4, 5)], [0, 1, 3]),
+    # Every grid edge twice, as two KG rows in opposite orientations.
+    "duplicates": (_grid(3, 3) + [(b, a) for a, b in _grid(3, 3)], [0, 4, 8]),
+    # Terminals along one chain, so closure paths are prefixes of each other,
+    # with a parallel route of the same length beside it.
+    "prefixes": ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 2)], [0, 2, 4]),
+    # Two diamonds in a row: every pair's halves meet at one node only, so
+    # the kernel's own tie-break between two equal-cost halves decides.
+    "diamonds": ([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)], [0, 3, 6]),
+}
+
+
+def _table(kg_edges, cost):
+    """Directed rows, both orientations of every KG edge, and adjacency."""
+    rows = [(a, b) for a, b in kg_edges] + [(b, a) for a, b in kg_edges]
+    adj: dict[int, list[int]] = {}
+    for a, b in rows:
+        adj.setdefault(a, []).append(b)
+    src, dst = zip(*rows)
+    return edge_arrays(src, dst, [cost] * len(rows)), rows, adj
+
+
+def _best_walks(adj, start, hops, cost):
+    """``{node: (cost, walk)}``, the min over walks of at most ``hops`` edges."""
+    best, stack = {}, [(start,)]
+    while stack:
+        walk = stack.pop()
+        c = cost * (len(walk) - 1)
+        if walk[-1] not in best or (c, walk) < best[walk[-1]]:
+            best[walk[-1]] = (c, walk)
+        if len(walk) <= hops:
+            stack.extend(walk + (v,) for v in adj.get(walk[-1], ()))
+    return best
+
+
+def _cheapest(cands):
+    out = {}
+    for pair, c, path in cands:
+        out[pair] = min(out.get(pair, (c, path)), (c, path))
+    return out
+
+
+@pytest.mark.parametrize("max_hops", [2, 3, 4, 5])
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_closure_candidates_match_enumeration(graph, max_hops):
+    kg_edges, terminals = GRAPHS[graph]
+    edges, _, adj = _table(kg_edges, 1.0)
+    near = {t: _best_walks(adj, t, (max_hops + 1) // 2, 1.0) for t in terminals}
+    far = {t: _best_walks(adj, t, max_hops // 2, 1.0) for t in terminals}
+    want = _cheapest(
+        ((ra, rb), near[ra][m][0] + far[rb][m][0], near[ra][m][1] + far[rb][m][1][::-1][1:])
+        for ra, rb in combinations(sorted(terminals), 2)
+        for m in set(near[ra]) & set(far[rb])
+    )
+    ((sid, got),) = _closure_task(edges, [("s", terminals, None)], max_hops=max_hops)
+    assert {(ra, rb): (c, p) for c, ra, rb, p in got} == want
+
+
+@pytest.mark.parametrize("max_hops", [1, 2, 3])
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_boundary_candidates_match_enumeration(graph, max_hops):
+    kg_edges, terminals = GRAPHS[graph]
+    edges, rows, adj = _table(kg_edges, EDGE_COST)
+    cells = {}
+    for t in terminals:
+        for node, (c, walk) in _best_walks(adj, t, max_hops, EDGE_COST).items():
+            cells[node] = min(cells.get(node, (c, t, walk)), (c, t, walk))
+    want = _cheapest(
+        (
+            (min(cells[u][1], cells[v][1]), max(cells[u][1], cells[v][1])),
+            cells[u][0] + EDGE_COST + cells[v][0],
+            cells[u][2] + cells[v][2][::-1],
+        )
+        for u, v in rows
+        if u < v and u in cells and v in cells and cells[u][1] != cells[v][1]
+    )
+    ((sid, got),) = _boundary_task(edges, [("s", terminals)], max_hops=max_hops)
+    assert {(ra, rb): (c, p) for c, ra, rb, p in got} == want
