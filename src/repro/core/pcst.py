@@ -54,14 +54,16 @@ def _boundary_task(edges: Edges, items, *, max_hops: int):
     """
     for sid, terminals in items:
         cells = relax(edges, terminals, max_hops=max_hops, per_landmark=False)
-        u, pos = out_edges(edges, cells.node)
-        dst = edges.dst[pos]
-        v = np.minimum(np.searchsorted(cells.node, dst), len(cells.node) - 1)
-        ok = (cells.node[v] == dst) & (cells.node[u] < dst) & (cells.landmark[u] != cells.landmark[v])
+        (dist,), (path,) = cells.dist, cells.path
+        reached = np.flatnonzero(np.isfinite(dist))
+        row, pos = out_edges(edges, reached)
+        u, v = reached[row], edges.dst[pos]
+        root = path[:, 0]
+        ok = (u < v) & np.isfinite(dist[v]) & (root[u] != root[v])
         u, v, pos = u[ok], v[ok], pos[ok]
-        cost = cells.dist[u] + edges.cost[pos] + cells.dist[v]
-        path = join_paths(cells.path[u], cells.path[v], skip=0)
-        ru, rv = cells.landmark[u], cells.landmark[v]
+        cost = dist[u] + edges.cost[pos] + dist[v]
+        ru, rv = root[u], root[v]
+        path = join_paths(path[u], path[v], skip=0)
         yield sid, cheapest_pairs(cost, np.minimum(ru, rv), np.maximum(ru, rv), path)
 
 

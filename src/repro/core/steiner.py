@@ -40,7 +40,7 @@ from repro.core.weights import base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
 from repro.graph.sssp import (
     Edges,
-    Paths,
+    Table,
     cheapest_pairs,
     collect_edges,
     edges_by_sid,
@@ -55,32 +55,20 @@ _INF = float("inf")
 _CHUNK = 1 << 22
 
 
-def _meet(near: Paths, far: Paths) -> list[tuple[float, int, int, tuple[int, ...]]]:
+def _meet(near: Table, far: Table) -> list[tuple[float, int, int, tuple[int, ...]]]:
     """Closure edges ``(cost, ra, rb, path)``, ``ra < rb``: the cheapest
     ``near[ra] + far[rb]`` over the nodes both halves reach, a tie in cost
     going to the smaller path.
 
-    The sums are a min-plus product of two terminals × nodes matrices, taken
-    in chunks of ``ra`` rows; paths are built only for the tied minima. Only
-    a node that two terminals reach can join two halves.
+    The sums are a min-plus product of the two terminals × nodes distance
+    tables, taken in chunks of ``ra`` rows; paths are built only for the tied
+    minima. Only a node that two terminals reach can join two halves.
     """
-    terms = np.unique(near.landmark)
-    nodes, count = np.unique(near.node, return_counts=True)
-    meet = nodes[count > 1]
+    meet = np.flatnonzero(np.isfinite(near.dist).sum(0) > 1)
     if not len(meet):
         return []
-
-    def grid(p: Paths) -> tuple[np.ndarray, np.ndarray]:
-        ok = np.flatnonzero(np.isin(p.node, meet))
-        at = (np.searchsorted(terms, p.landmark[ok]), np.searchsorted(meet, p.node[ok]))
-        dist = np.full((len(terms), len(meet)), np.inf)
-        dist[at] = p.dist[ok]
-        row = np.zeros(dist.shape, np.int64)
-        row[at] = ok
-        return dist, row
-
-    (a, ia), (b, ib) = grid(near), grid(far)
-    n = len(terms)
+    a, b = near.dist[:, meet], far.dist[:, meet]
+    n = len(near.landmarks)
     step = max(1, _CHUNK // max(n * len(meet), 1))
     hits = []
     for i0 in range(0, n - 1, step):
@@ -91,8 +79,8 @@ def _meet(near: Paths, far: Paths) -> list[tuple[float, int, int, tuple[int, ...
         i, j, m = np.nonzero((s == low[:, :, None]) & ok[:, :, None])
         hits.append((i + i0, j + i0 + 1, m))
     i, j, m = (np.concatenate(h) for h in zip(*hits))
-    path = join_paths(near.path[ia[i, m]], far.path[ib[j, m]], skip=1)
-    return cheapest_pairs(a[i, m] + b[j, m], terms[i], terms[j], path)
+    path = join_paths(near.path[i, meet[m]], far.path[j, meet[m]], skip=1)
+    return cheapest_pairs(a[i, m] + b[j, m], near.landmarks[i], near.landmarks[j], path)
 
 
 def _closure_task(edges: Edges, items, *, max_hops: int):

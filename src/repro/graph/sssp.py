@@ -8,23 +8,28 @@ call's edge table is collected once and broadcast as arrays sorted by
 ``src``, the items (a summary's seeds plus its Eq. 1 boost rows) are
 parallelized, and each task returns only what its caller keeps.
 
-State rows are ``(landmark, node, dist, path)``. Each round expands the
-frontier along the shared edge table and the summary's boost rows and keeps
-the minimum ``(dist, landmark, path)`` per key. The next frontier is the rows
-that are new or beat the key's previous distance by more than ``_EPS``; an
-empty frontier ends the loop early. Paths are rows of an int64 matrix padded
-with −1, so ``np.lexsort`` orders them as Spark orders arrays (elementwise, a
-prefix first) and a tie in distance goes to the smaller path, as Spark's
-``min(struct(dist, landmark, path))`` did when this kernel was a Catalyst
-round loop. Node ids must therefore be ≥ 0. The key is the only difference
-between the two uses:
+The state is a dense :class:`Table`: ``dist`` is ``(rows, span)``, inf
+where a node is unreached, and ``path`` is ``(rows, span, H + 1)``, padded
+with −1; ``span`` is one more than the largest node id, which stays small
+because IdSpace ids are contiguous. Each round expands the frontier along
+the shared edge table and the summary's boost rows, reads each candidate's
+key entry directly, and keeps the minimum ``(dist, path)`` per key; a path
+starts at its landmark. The next frontier is the entries that are new or
+beat the key's previous distance by more than ``_EPS``; an empty frontier
+ends the loop early. Because of the −1 padding, ``np.lexsort`` orders paths
+as Spark orders arrays (elementwise, a prefix first) and a tie in distance
+goes to the smaller path, as Spark's ``min(struct(dist, landmark, path))``
+did when this kernel was a Catalyst round loop. Node ids must therefore be
+≥ 0. The key, and so the number of rows, is the only difference between the
+two uses:
 
-* ``(landmark, node)`` — shortest paths from every landmark:
-  :func:`multi_landmark_paths`, and ST's metric closure (Algorithm 1, step 2).
-* ``node`` — each node keeps only its nearest terminal, the root of its
-  Voronoi cell: :func:`voronoi_partition`, and PCST. One pass costs the same
-  whatever the number of terminals, the |T|-independence the paper credits
-  PCST with (Figs. 9–11).
+* ``(landmark, node)``, one row per landmark — shortest paths from every
+  landmark: :func:`multi_landmark_paths`, and ST's metric closure
+  (Algorithm 1, step 2).
+* ``node``, a single row — each node keeps only its nearest terminal, the
+  root of its Voronoi cell: :func:`voronoi_partition`, and PCST. One pass
+  costs the same whatever the number of terminals, the |T|-independence the
+  paper credits PCST with (Figs. 9–11).
 
 Costs are strictly positive, so H rounds give Dijkstra's answer for paths of
 at most H edges. A boost row is one more out-edge of its node for that
@@ -32,7 +37,7 @@ summary only; it never costs more than the shared row it shadows, so the min
 picks it, and both carry the same path.
 
 :func:`multi_landmark_paths` and :func:`voronoi_partition` return DataFrames
-built from the kernel's rows, for :func:`repro.graph.stats.path_length_stats`
+built from :meth:`Table.rows`, for :func:`repro.graph.stats.path_length_stats`
 and the tests; the summarizers call :func:`relax` in their own tasks.
 """
 from functools import partial
@@ -56,17 +61,31 @@ class Edges(NamedTuple):
 
 
 class Paths(NamedTuple):
-    """Kernel rows: ``path[i]`` runs from ``landmark[i]`` to ``node[i]``,
+    """Kernel rows: ``path[i]`` runs from ``path[i, 0]`` to ``node[i]``,
     padded with −1 to the width ``max_hops + 1``.
     """
 
-    landmark: np.ndarray
     node: np.ndarray
     dist: np.ndarray
     path: np.ndarray
 
-    def take(self, idx) -> "Paths":
-        return Paths(*(a[idx] for a in self))
+
+class Table(NamedTuple):
+    """The kernel's state: ``dist[r, v]`` and ``path[r, v]`` are row ``r``'s
+    best distance to node ``v`` (inf if unreached) and its path (−1-padded,
+    all −1 if unreached). Row ``r`` is ``landmarks[r]``'s when the table is
+    keyed per landmark; a table keyed by node has one row, whose paths start
+    at the nearest landmark.
+    """
+
+    landmarks: np.ndarray
+    dist: np.ndarray
+    path: np.ndarray
+
+    def rows(self) -> Paths:
+        """The reached entries, sorted by row, then node."""
+        r, node = np.nonzero(np.isfinite(self.dist))
+        return Paths(node, self.dist[r, node], self.path[r, node])
 
 
 def _concat(parts) -> Paths:
@@ -109,12 +128,12 @@ def out_edges(edges: Edges, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, pos
 
 
-def _expand(frontier: Paths, tables: list[Edges]) -> tuple[np.ndarray, ...]:
-    """``(row, node, dist)``: one candidate per edge leaving a frontier row."""
+def _expand(node: np.ndarray, dist: np.ndarray, tables: list[Edges]) -> tuple[np.ndarray, ...]:
+    """``(row, node, dist)``: one candidate per edge leaving ``node[row]``."""
     parts = []
     for t in tables:
-        row, pos = out_edges(t, frontier.node)
-        parts.append((row, t.dst[pos], frontier.dist[row] + t.cost[pos]))
+        row, pos = out_edges(t, node)
+        parts.append((row, t.dst[pos], dist[row] + t.cost[pos]))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -125,63 +144,46 @@ def relax(
     max_hops: int,
     per_landmark: bool,
     boosts: Edges | None = None,
-) -> Paths:
+) -> Table:
     """Hop-limited Bellman–Ford from ``landmarks`` over ``edges`` and ``boosts``.
 
     Keyed by ``(landmark, node)`` when ``per_landmark``, else by ``node``;
-    returns one row per key, sorted by key. A candidate that costs more than
-    its key's current row cannot win and is dropped before the sort; the
-    others are sorted with the key's current row, and the first per key wins.
-    Raises ``ValueError`` on a negative node id.
+    the :class:`Table` has one row per landmark, or a single row. A
+    candidate that costs more than its key's entry cannot win and is dropped
+    before the sort; the others are sorted with the key's entry, and the
+    first per key wins. Raises ``ValueError`` on a negative node id.
     """
     lm = np.unique(np.asarray(landmarks, np.int64))
     _check_ids(lm)
     tables = [edges] if boosts is None else [edges, boosts]
     span = 1 + max([int(lm.max(initial=0))] + [int(t.dst.max(initial=0)) for t in tables])
-
-    def key(landmark: np.ndarray, node: np.ndarray) -> np.ndarray:
-        return np.searchsorted(lm, landmark) * span + node if per_landmark else node
-
-    path = np.full((lm.size, max_hops + 1), -1, np.int64)
-    path[:, 0] = lm
-    best = frontier = Paths(lm, lm.copy(), np.zeros(lm.size), path)
-    keys = key(best.landmark, best.node)
-    order = np.argsort(keys, kind="stable")
+    dist = np.full((lm.size if per_landmark else 1, span), np.inf)
+    path = np.full((*dist.shape, max_hops + 1), -1, np.int64)
+    # Flat views: key ``r * span + v`` is entry ``(r, v)``.
+    d, p = dist.reshape(-1), path.reshape(-1, max_hops + 1)
+    frontier = (np.arange(lm.size) * span if per_landmark else 0) + lm
+    d[frontier], p[frontier, 0] = 0.0, lm
     for hop in range(1, max_hops + 1):
-        row, node, dist = _expand(frontier, tables)
-        ck = key(frontier.landmark[row], node)
-        sk = keys[order]
-        at = np.minimum(np.searchsorted(sk, ck), len(sk) - 1)
-        slot = np.where(sk[at] == ck, order[at], -1)
-        keep = dist <= np.where(slot >= 0, best.dist[slot], np.inf)
+        r, v = np.divmod(frontier, span)
+        row, node, cost = _expand(v, d[frontier], tables)
+        key = r[row] * span + node
+        keep = cost <= d[key]
         if not keep.any():
             break
-        row, node, dist, ck, slot = row[keep], node[keep], dist[keep], ck[keep], slot[keep]
-        path = frontier.path[row]
-        path[:, hop] = node  # a round-``hop`` frontier row holds ``hop`` nodes
-        cand = Paths(frontier.landmark[row], node, dist, path)
-        held = np.unique(slot[slot >= 0])
-        group = _concat([best.take(held), cand])
-        gk = np.concatenate([keys[held], ck])
-        gslot = np.concatenate([held, slot])
-        old = np.concatenate([best.dist[held], np.full(len(ck), np.nan)])
-        # Columns past ``hop`` are −1 in every row of the group.
-        srt = np.lexsort((*group.path[:, hop::-1].T, group.landmark, group.dist, gk))
-        first = np.flatnonzero(np.r_[True, gk[srt][1:] != gk[srt][:-1]])
-        win = srt[first]
-        old = np.fmin.reduceat(old[srt], first)
-        frontier = group.take(win[np.isnan(old) | (group.dist[win] < old - _EPS)])
-        # Write the winners back: in place for held keys, appended for new ones.
-        wslot = gslot[win]
-        for a, w in zip(best, group.take(win)):
-            a[wslot[wslot >= 0]] = w[wslot >= 0]
-        new = win[wslot < 0]
-        best = _concat([best, group.take(new)])
-        keys = np.concatenate([keys, gk[new]])
-        order = np.argsort(keys, kind="stable")
-        if len(frontier.node) == 0:
-            break
-    return best.take(order)
+        row, node, key, cost = row[keep], node[keep], key[keep], cost[keep]
+        cand = p[frontier[row]]
+        cand[:, hop] = node  # a round-``hop`` frontier entry holds ``hop`` nodes
+        # A held entry joins once per candidate of its key; the copies are equal.
+        held = key[np.isfinite(d[key])]
+        gk, gd, gp = np.r_[held, key], np.r_[d[held], cost], np.concatenate([p[held], cand])
+        # Columns past ``hop`` are −1 in every row of the group, and column 0
+        # is the landmark, so a tie in distance goes to the smaller landmark.
+        srt = np.lexsort((*gp[:, hop::-1].T, gd, gk))
+        win = srt[np.r_[True, gk[srt][1:] != gk[srt][:-1]]]
+        key, cost = gk[win], gd[win]
+        frontier = key[cost < d[key] - _EPS]
+        d[key], p[key] = cost, gp[win]
+    return Table(lm, dist, path)
 
 
 def join_paths(a: np.ndarray, b: np.ndarray, *, skip: int) -> np.ndarray:
@@ -245,12 +247,12 @@ def _frame(seeds: DataFrame, parts: list, root: str, width: int) -> DataFrame:
     """``(sid, <root>, node, dist, path)`` from ``[(sid, Paths)]``."""
     cols = [f"p{i}" for i in range(width)]
     ids = np.zeros(0, np.int64)
-    p = _concat(q for _, q in parts) if parts else Paths(ids, ids, np.zeros(0), ids.reshape(0, width))
+    p = _concat(q for _, q in parts) if parts else Paths(ids, np.zeros(0), ids.reshape(0, width))
     sid = pd.Series([s for s, _ in parts], dtype=None if parts else object)
     pdf = pd.DataFrame(
         {
             "sid": sid.repeat([len(q.node) for _, q in parts]).to_numpy(),
-            root: p.landmark,
+            root: p.path[:, 0],
             "node": p.node,
             "dist": p.dist,
             **{c: p.path[:, i] for i, c in enumerate(cols)},
@@ -265,12 +267,14 @@ def _frame(seeds: DataFrame, parts: list, root: str, width: int) -> DataFrame:
 
 def _landmark_task(edges: Edges, items, *, max_hops: int):
     for sid, landmark, boosts in items:
-        yield sid, relax(edges, [landmark], max_hops=max_hops, per_landmark=True, boosts=boosts)
+        yield sid, relax(
+            edges, [landmark], max_hops=max_hops, per_landmark=True, boosts=boosts
+        ).rows()
 
 
 def _cell_task(edges: Edges, items, *, max_hops: int):
     for sid, terminals in items:
-        yield sid, relax(edges, terminals, max_hops=max_hops, per_landmark=False)
+        yield sid, relax(edges, terminals, max_hops=max_hops, per_landmark=False).rows()
 
 
 def multi_landmark_paths(

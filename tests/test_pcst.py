@@ -140,3 +140,14 @@ def test_objective_is_at_least_the_brute_force_optimum(spark, seed):
     (s,) = pcst_summaries(spark, kg, [_req(terminals)], max_hops=8)
     got = EDGE_COST * len(s.edges) + PRIZE * len(set(terminals) - s.nodes)
     assert got >= _brute_force_pcst_cost(g, terminals) - 1e-9
+
+
+def test_isolated_terminal_and_single_terminal(spark):
+    # Node 9 has no KG edge and the largest id, so the kernel's table is as
+    # wide as that landmark, not the edge table: its prize is forgone, and a
+    # request with 9 as its only terminal is that node alone.
+    kg = make_kg(spark, [(0, 1, 1.0, ETYPE_UI), (1, 2, 1.0, ETYPE_UI)], {9: "item"})
+    reqs = [_req([0, 2, 9]), _req([9], sid="user:9")]
+    pair, single = pcst_summaries(spark, kg, reqs)
+    assert pair.edges == ((0, 1), (1, 2)) and pair.nodes == {0, 1, 2}
+    assert single.edges == () and single.nodes == {9}

@@ -345,3 +345,14 @@ def test_closure_relaxes_half_the_hops(spark, monkeypatch, max_hops, rounds):
     (s,) = steiner_summaries(spark, kg, [_req([0, 5])], lam=0.0, max_hops=max_hops)
     assert seen == rounds
     assert set(s.edges) == ({(a, a + 1) for a in range(5)} if max_hops == 5 else set())
+
+
+def test_isolated_terminal_and_single_terminal(spark):
+    # Node 9 has no KG edge and the largest id, so the kernel's table is as
+    # wide as that landmark, not the edge table: ST drops it, and a request
+    # with 9 as its only terminal is that node alone.
+    kg = make_kg(spark, [(0, 1, 1.0, ETYPE_UI), (1, 2, 1.0, ETYPE_UI)], {9: "item"})
+    reqs = [_req([0, 2, 9]), _req([9], sid="user:9")]
+    pair, single = steiner_summaries(spark, kg, reqs, lam=1.0)
+    assert pair.edges == ((0, 1), (1, 2)) and pair.nodes == {0, 1, 2}
+    assert single.edges == () and single.nodes == {9}

@@ -8,11 +8,12 @@ Python; the tasks run in this process, without Spark.
 """
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.core.pcst import EDGE_COST, _boundary_task
 from repro.core.steiner import _closure_task
-from repro.graph.sssp import edge_arrays
+from repro.graph.sssp import edge_arrays, relax
 
 
 def _grid(rows, cols):
@@ -33,6 +34,17 @@ GRAPHS = {
     # Two diamonds in a row: every pair's halves meet at one node only, so
     # the kernel's own tie-break between two equal-cost halves decides.
     "diamonds": ([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)], [0, 3, 6]),
+}
+
+
+KERNEL_CASES = {
+    # Node 9 has no edge and the largest id, so the table's width comes from
+    # the landmark.
+    "isolated": ([(0, 1), (1, 2)], [0, 2, 9]),
+    "single": ([(0, 1), (1, 2)], [9]),
+    # Node 1's path (0, 6, 1) is larger than node 2's (0, 5, 2), so the two
+    # equal-cost paths to 4 reach the sort in the opposite order of the rule.
+    "crossed": ([(0, 6), (6, 1), (0, 5), (5, 2), (1, 4), (2, 4)], [0]),
 }
 
 
@@ -102,3 +114,24 @@ def test_boundary_candidates_match_enumeration(graph, max_hops):
     )
     ((sid, got),) = _boundary_task(edges, [("s", terminals)], max_hops=max_hops)
     assert {(ra, rb): (c, p) for c, ra, rb, p in got} == want
+
+
+@pytest.mark.parametrize("per_landmark", [True, False])
+@pytest.mark.parametrize("max_hops", range(6))
+@pytest.mark.parametrize("graph", sorted(GRAPHS) + sorted(KERNEL_CASES))
+def test_kernel_entries_match_enumeration(graph, max_hops, per_landmark):
+    kg_edges, terminals = {**GRAPHS, **KERNEL_CASES}[graph]
+    edges, _, adj = _table(kg_edges, 1.0)
+    walks = [_best_walks(adj, t, max_hops, 1.0) for t in sorted(terminals)]
+    if not per_landmark:
+        walks = [{v: min(w[v] for w in walks if v in w) for v in set().union(*walks)}]
+    span = 1 + max(terminals + [n for e in kg_edges for n in e])
+    dist = np.full((len(walks), span), np.inf)
+    path = np.full((len(walks), span, max_hops + 1), -1)
+    for r, best in enumerate(walks):
+        for v, (c, walk) in best.items():
+            dist[r, v], path[r, v, : len(walk)] = c, walk
+    got = relax(edges, terminals, max_hops=max_hops, per_landmark=per_landmark)
+    assert got.landmarks.tolist() == sorted(terminals)
+    np.testing.assert_array_equal(got.dist, dist)
+    np.testing.assert_array_equal(got.path, path)
