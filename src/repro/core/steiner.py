@@ -3,24 +3,24 @@
 Stage split between Spark and the driver:
 
 1. **Metric closure (one Spark job)** — one task item per request: its
-   terminals and its Eq. 1 boost rows, alternative edge costs never above
-   the shared ones (see :mod:`repro.graph.sssp`). Only terminal→terminal
+   terminals and its Eq. 1 boost rows, which lower the request's own copy of
+   the edge costs (:func:`repro.graph.sssp.boosted`). Only terminal→terminal
    distances are needed, so the search meets in the middle (bidirectional
    search, Pohl 1971): every path of at most ``max_hops`` = H edges splits at
    a node into a ≤⌈H/2⌉ half from one terminal and a ≤⌊H/2⌋ half from the
    other. The kernel relaxes ⌈H/2⌉ rounds (plus a ⌊H/2⌋-round run when H is
-   odd), and a min-plus product of the terminals × meeting-nodes distance
-   matrices pairs each smaller terminal's half with each larger terminal's
-   half; the cheapest meeting per pair is its closure edge. Costs are
-   symmetric, so each closure pair reaches the driver once, from the smaller
-   terminal. Algorithm 1's "replace closure edge with its shortest path" step
-   is a concatenation of the two halves, built only for the cheapest
-   meetings.
-2. **MST + unfold + prune (driver)** — per request and cut-off ``k``: the
-   closure MST is PCST's cluster merge with unlimited prizes, i.e. Kruskal
-   over the k-restricted closure (:func:`repro.core.summary._merge_phase`);
-   then union the selected closure paths, re-extract a spanning tree of the
-   union, and repeatedly prune non-terminal leaves (the standard KMB cleanup
+   odd), and each terminal's half is added to the halves of every larger
+   terminal at every meeting node, a min-plus product of the terminals ×
+   nodes distance tables; the cheapest meeting per pair is its closure edge.
+   Costs are symmetric, so each closure pair reaches the driver once, from
+   the smaller terminal. Algorithm 1's "replace closure edge with its
+   shortest path" step is a concatenation of the two halves, built only for
+   the cheapest meetings.
+2. **MST + unfold + MST + prune (driver)** — per request and cut-off ``k``:
+   the closure MST is Kruskal over the k-restricted closure, i.e. PCST's
+   cluster merge with unlimited prizes (:func:`repro.core.summary._merge_phase`);
+   the union of its paths is spanned by the same merge over the request's
+   Eq. 1 costs, and non-terminal leaves are pruned (the standard KMB cleanup
    that keeps the 2-approximation guarantee).
 
 Terminals unreachable within ``max_hops`` are dropped from the tree: only the
@@ -35,24 +35,14 @@ from pyspark import SparkContext
 from pyspark.sql import SparkSession
 
 from repro.core.scenarios import SummaryRequest
-from repro.core.summary import _DSU, Summary, _merge_phase, _norm, _path_edges
+from repro.core.summary import Summary, _merge_phase, _norm, _path_edges
 from repro.core.weights import base_cost_edges, boost_table, w_cap_for
 from repro.graph.model import KG
-from repro.graph.sssp import (
-    Edges,
-    Table,
-    cheapest_pairs,
-    collect_edges,
-    edges_by_sid,
-    fan_out,
-    join_paths,
-    relax,
-)
+from repro.graph.sssp import Edges, Table, boosted, cheapest_pairs, collect_edges, copies
+from repro.graph.sssp import edges_by_sid, fan_out, join_paths, relax
 from repro.graph.sssp import multi_landmark_paths  # noqa: F401 (perfbench/run.py traces it by name)
 
 _INF = float("inf")
-# Float64 sums per min-plus chunk (32 MiB).
-_CHUNK = 1 << 22
 
 
 def _meet(near: Table, far: Table) -> list[tuple[float, int, int, tuple[int, ...]]]:
@@ -61,23 +51,20 @@ def _meet(near: Table, far: Table) -> list[tuple[float, int, int, tuple[int, ...
     going to the smaller path.
 
     The sums are a min-plus product of the two terminals × nodes distance
-    tables, taken in chunks of ``ra`` rows; paths are built only for the tied
-    minima. Only a node that two terminals reach can join two halves.
+    tables, one ``ra`` row against the rows after it at a time; paths are
+    built only for the tied minima. Only a node that two terminals reach can
+    join two halves.
     """
     meet = np.flatnonzero(np.isfinite(near.dist).sum(0) > 1)
-    if not len(meet):
-        return []
     a, b = near.dist[:, meet], far.dist[:, meet]
-    n = len(near.landmarks)
-    step = max(1, _CHUNK // max(n * len(meet), 1))
     hits = []
-    for i0 in range(0, n - 1, step):
-        i1 = min(i0 + step, n - 1)
-        s = a[i0:i1, None, :] + b[None, i0 + 1 :, :]  # s[i, j] pairs i0 + i with i0 + 1 + j
-        low = s.min(axis=2)
-        ok = np.isfinite(low) & (np.arange(n - i0 - 1) >= np.arange(i1 - i0)[:, None])
-        i, j, m = np.nonzero((s == low[:, :, None]) & ok[:, :, None])
-        hits.append((i + i0, j + i0 + 1, m))
+    for i in range(len(a) - 1):
+        s = a[i] + b[i + 1 :]  # s[j] pairs i with i + 1 + j
+        low = s.min(axis=1, initial=_INF)
+        j, m = np.nonzero((s == low[:, None]) & np.isfinite(low)[:, None])
+        hits.append((np.full(len(j), i), j + i + 1, m))
+    if not hits:
+        return []
     i, j, m = (np.concatenate(h) for h in zip(*hits))
     path = join_paths(near.path[i, meet[m]], far.path[j, meet[m]], skip=1)
     return cheapest_pairs(a[i, m] + b[j, m], near.landmarks[i], near.landmarks[j], path)
@@ -85,13 +72,12 @@ def _meet(near: Table, far: Table) -> list[tuple[float, int, int, tuple[int, ...
 
 def _closure_task(edges: Edges, items, *, max_hops: int):
     for sid, terminals, boosts in items:
-        near = relax(
-            edges, terminals, max_hops=(max_hops + 1) // 2, per_landmark=True, boosts=boosts
-        )
+        costs = boosted(edges, boosts)
+        near = relax(costs, terminals, max_hops=(max_hops + 1) // 2, per_landmark=True)
         far = (
             near
             if max_hops % 2 == 0
-            else relax(edges, terminals, max_hops=max_hops // 2, per_landmark=True, boosts=boosts)
+            else relax(costs, terminals, max_hops=max_hops // 2, per_landmark=True)
         )
         yield sid, _meet(near, far)
 
@@ -122,10 +108,17 @@ def _closure_mst(
     return [m for m in accepted if dsu.find(m[0]) == root]
 
 
-def _tree_of_union(edges: set[tuple[int, int]], terminals: set[int]) -> set[tuple[int, int]]:
-    """Spanning tree of the unfolded union, then prune non-terminal leaves."""
-    dsu = _DSU()
-    tree = {e for e in sorted(edges) if dsu.union(*e)}
+def _tree_of_union(union: set, terminals: set[int], costs: Edges) -> set[tuple[int, int]]:
+    """KMB steps 4–5: the unfolded union's MST by ``costs`` (an edge held
+    twice costs its cheaper copy), then prune non-terminal leaves.
+    """
+    ends = np.array(list(union), np.int64).reshape(-1, 2)
+    row, pos = copies(costs, ends[:, 0], ends[:, 1])
+    cost = np.full(len(ends), _INF)
+    np.minimum.at(cost, row, costs.cost[pos])
+    cands = [(c, a, b, ()) for c, (a, b) in zip(cost.tolist(), ends.tolist())]
+    _, accepted = _merge_phase(cands, {n for e in union for n in e}, _INF)
+    tree = {(a, b) for a, b, _ in accepted}
     adj: dict[int, set[int]] = defaultdict(set)
     for a, b in tree:
         adj[a].add(b)
@@ -175,11 +168,12 @@ def steiner_summaries(
     out: list[Summary] = []
     for req in requests:
         cands = closure.get(req.sid, [])
+        costs = boosted(edges, boosts.get(req.sid))
         for k in ks:
             terminals = req.terminals(k)
             sel_paths = [p for _, _, p in _closure_mst(terminals, cands)]
             union_edges = {e for p in sel_paths for e in _path_edges(p)}
-            tree = _tree_of_union(union_edges, set(terminals))
+            tree = _tree_of_union(union_edges, set(terminals), costs)
             nodes = {n for e in tree for n in e} | {terminals[0]}
             out.append(
                 Summary(

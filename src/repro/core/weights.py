@@ -30,8 +30,9 @@ def w_cap_for(kg: KG, lam: float) -> float:
     """Upper bound on any λ-boosted weight (freq/|S| ≤ 1).
 
     Raises ``ValueError`` when ``lam < 0`` or any edge weight is negative:
-    Eq. 1 could then make a boosted edge cost more than its shared row, and
-    the SSSP kernel, which keeps the cheaper of the two, would ignore it.
+    Eq. 1 would then raise an explanation-path edge's cost, and
+    :func:`repro.graph.sssp.boosted`, which only ever lowers a cost, would
+    silently ignore it.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -87,7 +88,7 @@ def boost_table(
     never more than the :func:`base_cost_edges` cost of the same edge. Path
     edges absent from the KG (PLM hallucinations) produce no row. An edge the
     KG holds twice (both etypes, or duplicated rows) gives one row per copy;
-    the SSSP kernel keeps the cheapest.
+    :func:`repro.graph.sssp.boosted` gives every copy the cheapest.
     """
     freq_pdf = path_edge_frequencies(requests, k)
     if freq_pdf.empty:

@@ -5,40 +5,41 @@ stays within ``max_hops`` = H edges of its own terminals. So the kernel is a
 vectorized hop-limited Bellman–Ford over numpy arrays that runs per summary
 inside a Spark task, and a call is one fan-out job (:func:`fan_out`): the
 call's edge table is collected once and broadcast as arrays sorted by
-``src``, the items (a summary's seeds plus its Eq. 1 boost rows) are
+``src``, the items (a summary's seeds, and for ST its Eq. 1 boost rows) are
 parallelized, and each task returns only what its caller keeps.
 
 The state is a dense :class:`Table`: ``dist`` is ``(rows, span)``, inf
 where a node is unreached, and ``path`` is ``(rows, span, H + 1)``, padded
 with −1; ``span`` is one more than the largest node id, which stays small
 because IdSpace ids are contiguous. Each round expands the frontier along
-the shared edge table and the summary's boost rows, reads each candidate's
-key entry directly, and keeps the minimum ``(dist, path)`` per key; a path
-starts at its landmark. The next frontier is the entries that are new or
-beat the key's previous distance by more than ``_EPS``; an empty frontier
-ends the loop early. Because of the −1 padding, ``np.lexsort`` orders paths
-as Spark orders arrays (elementwise, a prefix first) and a tie in distance
-goes to the smaller path, as Spark's ``min(struct(dist, landmark, path))``
-did when this kernel was a Catalyst round loop. Node ids must therefore be
-≥ 0. The key, and so the number of rows, is the only difference between the
-two uses:
+one edge table, reads each candidate's key entry directly, and keeps the
+minimum ``(dist, path)`` per key; a path starts at its landmark. The next
+frontier is the entries that are new or beat the key's previous distance by
+more than ``_EPS``; an empty frontier ends the loop early. Because of the −1
+padding, ``np.lexsort`` orders paths as Spark orders arrays (elementwise, a
+prefix first) and a tie in distance goes to the smaller path, as Spark's
+``min(struct(dist, landmark, path))`` did when this kernel was a Catalyst
+round loop. Node ids must therefore be ≥ 0. The key, and so the number of
+rows, is the only difference between the two uses:
 
 * ``(landmark, node)``, one row per landmark — shortest paths from every
-  landmark: :func:`multi_landmark_paths`, and ST's metric closure
-  (Algorithm 1, step 2).
+  landmark: :func:`multi_landmark_paths`, Table II's path lengths, and ST's
+  metric closure (Algorithm 1, step 2).
 * ``node``, a single row — each node keeps only its nearest terminal, the
   root of its Voronoi cell: :func:`voronoi_partition`, and PCST. One pass
   costs the same whatever the number of terminals, the |T|-independence the
   paper credits PCST with (Figs. 9–11).
 
 Costs are strictly positive, so H rounds give Dijkstra's answer for paths of
-at most H edges. A boost row is one more out-edge of its node for that
-summary only; it never costs more than the shared row it shadows, so the min
-picks it, and both carry the same path.
+at most H edges. A summary's Eq. 1 boosts are folded into its own copy of
+the cost column first (:func:`boosted`): each KG copy of a boosted edge
+costs the smaller of its shared cost and its boost, so one summary's boosts
+never reach another's search.
 
-:func:`multi_landmark_paths` and :func:`voronoi_partition` return DataFrames
-built from :meth:`Table.rows`, for :func:`repro.graph.stats.path_length_stats`
-and the tests; the summarizers call :func:`relax` in their own tasks.
+:func:`multi_landmark_paths` and :func:`voronoi_partition` run :func:`relax`
+on the driver and return DataFrames built from :meth:`Table.rows`, for the
+tests; the summarizers and :func:`repro.graph.stats.path_length_stats` call
+:func:`relax` in their own tasks.
 """
 from functools import partial
 from typing import NamedTuple
@@ -128,24 +129,28 @@ def out_edges(edges: Edges, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, pos
 
 
-def _expand(node: np.ndarray, dist: np.ndarray, tables: list[Edges]) -> tuple[np.ndarray, ...]:
-    """``(row, node, dist)``: one candidate per edge leaving ``node[row]``."""
-    parts = []
-    for t in tables:
-        row, pos = out_edges(t, node)
-        parts.append((row, t.dst[pos], dist[row] + t.cost[pos]))
-    return tuple(map(np.concatenate, zip(*parts)))
+def copies(edges: Edges, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, pos)``: ``edges[pos]`` is a copy of ``(src[row], dst[row])``."""
+    row, pos = out_edges(edges, src)
+    hit = edges.dst[pos] == dst[row]
+    return row[hit], pos[hit]
 
 
-def relax(
-    edges: Edges,
-    landmarks,
-    *,
-    max_hops: int,
-    per_landmark: bool,
-    boosts: Edges | None = None,
-) -> Table:
-    """Hop-limited Bellman–Ford from ``landmarks`` over ``edges`` and ``boosts``.
+def boosted(edges: Edges, boosts: Edges | None) -> Edges:
+    """``edges`` with each KG copy of a ``boosts`` row costing the smaller of
+    the two; a boost row matching no edge adds nothing. ``edges`` is not
+    changed: the cost column is copied.
+    """
+    if boosts is None:
+        return edges
+    row, pos = copies(edges, boosts.src, boosts.dst)
+    cost = edges.cost.copy()
+    np.minimum.at(cost, pos, boosts.cost[row])
+    return edges._replace(cost=cost)
+
+
+def relax(edges: Edges, landmarks, *, max_hops: int, per_landmark: bool) -> Table:
+    """Hop-limited Bellman–Ford from ``landmarks`` over ``edges``.
 
     Keyed by ``(landmark, node)`` when ``per_landmark``, else by ``node``;
     the :class:`Table` has one row per landmark, or a single row. A
@@ -155,8 +160,7 @@ def relax(
     """
     lm = np.unique(np.asarray(landmarks, np.int64))
     _check_ids(lm)
-    tables = [edges] if boosts is None else [edges, boosts]
-    span = 1 + max([int(lm.max(initial=0))] + [int(t.dst.max(initial=0)) for t in tables])
+    span = 1 + max(int(lm.max(initial=0)), int(edges.dst.max(initial=0)))
     dist = np.full((lm.size if per_landmark else 1, span), np.inf)
     path = np.full((*dist.shape, max_hops + 1), -1, np.int64)
     # Flat views: key ``r * span + v`` is entry ``(r, v)``.
@@ -165,7 +169,8 @@ def relax(
     d[frontier], p[frontier, 0] = 0.0, lm
     for hop in range(1, max_hops + 1):
         r, v = np.divmod(frontier, span)
-        row, node, cost = _expand(v, d[frontier], tables)
+        row, pos = out_edges(edges, v)
+        node, cost = edges.dst[pos], d[frontier[row]] + edges.cost[pos]
         key = r[row] * span + node
         keep = cost <= d[key]
         if not keep.any():
@@ -243,9 +248,10 @@ def _seeds(seeds: DataFrame) -> pd.DataFrame:
     return seeds.select("sid", "landmark").toPandas().drop_duplicates()
 
 
-def _frame(seeds: DataFrame, parts: list, root: str, width: int) -> DataFrame:
-    """``(sid, <root>, node, dist, path)`` from ``[(sid, Paths)]``."""
+def _frame(seeds: DataFrame, tables: list, root: str, width: int) -> DataFrame:
+    """``(sid, <root>, node, dist, path)`` from ``[(sid, Table)]``."""
     cols = [f"p{i}" for i in range(width)]
+    parts = [(sid, t.rows()) for sid, t in tables]
     ids = np.zeros(0, np.int64)
     p = _concat(q for _, q in parts) if parts else Paths(ids, np.zeros(0), ids.reshape(0, width))
     sid = pd.Series([s for s, _ in parts], dtype=None if parts else object)
@@ -265,50 +271,35 @@ def _frame(seeds: DataFrame, parts: list, root: str, width: int) -> DataFrame:
     return df.select("sid", root, "node", "dist", path)
 
 
-def _landmark_task(edges: Edges, items, *, max_hops: int):
-    for sid, landmark, boosts in items:
-        yield sid, relax(
-            edges, [landmark], max_hops=max_hops, per_landmark=True, boosts=boosts
-        ).rows()
-
-
-def _cell_task(edges: Edges, items, *, max_hops: int):
-    for sid, terminals in items:
-        yield sid, relax(edges, terminals, max_hops=max_hops, per_landmark=False).rows()
-
-
 def multi_landmark_paths(
-    edges: DataFrame,
-    sources: DataFrame,
-    *,
-    max_hops: int,
-    boosts: DataFrame | None = None,
+    edges: DataFrame, sources: DataFrame, *, max_hops: int, boosts: DataFrame | None = None
 ) -> DataFrame:
-    """Shortest paths from every landmark of every summary, one task item per
-    ``(sid, landmark)``.
+    """Shortest paths from every landmark of every summary, one kernel run
+    per ``(sid, landmark)`` on the driver.
 
     Args:
         edges: symmetrized edge table ``(src, dst, cost)`` with ``cost > 0``.
         sources: ``(sid, landmark)`` — one row per landmark per summary.
         max_hops: maximum number of edges on any returned path.
-        boosts: optional ``(sid, src, dst, cost)`` — per-summary alternative
-            cost for (directed, already-symmetrized) edges of ``edges``. It
-            must not exceed that edge's cost in ``edges``; the cheaper wins.
+        boosts: optional ``(sid, src, dst, cost)`` — per-summary costs for
+            (directed, already-symmetrized) edges of ``edges``, folded in by
+            :func:`boosted`.
 
     Returns:
         ``(sid, landmark, node, dist, path)`` where ``path`` is the node array
         from ``landmark`` to ``node`` inclusive; one row per reached node.
     """
-    by_sid = edges_by_sid(boosts)
-    items = [(sid, int(lm), by_sid.get(sid)) for sid, lm in _seeds(sources).itertuples(index=False)]
-    task = partial(_landmark_task, max_hops=max_hops)
-    parts = fan_out(edges.sparkSession.sparkContext, collect_edges(edges), items, task)
+    table, by_sid = collect_edges(edges), edges_by_sid(boosts)
+    parts = [
+        (sid, relax(boosted(table, by_sid.get(sid)), [lm], max_hops=max_hops, per_landmark=True))
+        for sid, lm in _seeds(sources).itertuples(index=False)
+    ]
     return _frame(sources, parts, "landmark", max_hops + 1)
 
 
 def voronoi_partition(edges: DataFrame, seeds: DataFrame, *, max_hops: int) -> DataFrame:
-    """Assign every reachable node to its nearest terminal, one task item per
-    summary.
+    """Assign every reachable node to its nearest terminal, one kernel run
+    per summary on the driver.
 
     Args:
         edges: symmetrized ``(src, dst, cost)`` with ``cost > 0``.
@@ -321,10 +312,9 @@ def voronoi_partition(edges: DataFrame, seeds: DataFrame, *, max_hops: int) -> D
         (ties go to the smaller one), ``path`` the node array from ``root``
         to ``node`` inclusive.
     """
-    pdf = _seeds(seeds)
-    items = [(sid, g["landmark"].to_numpy()) for sid, g in pdf.groupby("sid", sort=True)]
-    task = partial(_cell_task, max_hops=max_hops)
-    parts = fan_out(edges.sparkSession.sparkContext, collect_edges(edges), items, task)
-    return _frame(seeds, parts, "root", max_hops + 1).select(
-        "sid", "node", "root", "dist", "path"
-    )
+    table = collect_edges(edges)
+    parts = [
+        (sid, relax(table, g["landmark"].to_numpy(), max_hops=max_hops, per_landmark=False))
+        for sid, g in _seeds(seeds).groupby("sid", sort=True)
+    ]
+    return _frame(seeds, parts, "root", max_hops + 1).select("sid", "node", "root", "dist", "path")

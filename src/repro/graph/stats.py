@@ -4,23 +4,20 @@ Exact aggregates (node/edge counts, per-segment average degrees, undirected
 density) are single Spark jobs. Average path length and diameter — reported
 by the paper for a 19,844-node graph — are estimated by unit-cost BFS from a
 sample of landmark nodes (exact all-pairs BFS is quadratic and the paper's
-own numbers for these are descriptive, not load-bearing). The diameter
-estimate is the max eccentricity over the landmark sample, a lower bound that
-is tight in practice on small-diameter graphs.
+own numbers for these are descriptive, not load-bearing). The BFS runs are
+one fan-out job whose tasks reduce each landmark's distances to
+``(Σ dist, count, max)``, so only three numbers per landmark reach the
+driver. The diameter estimate is the max eccentricity over the landmark
+sample, a lower bound that is tight in practice on small-diameter graphs.
 """
 from dataclasses import dataclass
+from functools import partial
 
+import numpy as np
 from pyspark.sql import functions as F
 
-from repro.graph.model import (
-    ETYPE_IE,
-    ETYPE_UI,
-    KG,
-    NTYPE_EXT,
-    NTYPE_ITEM,
-    NTYPE_USER,
-)
-from repro.graph.sssp import multi_landmark_paths
+from repro.graph.model import ETYPE_IE, ETYPE_UI, KG, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
+from repro.graph.sssp import Edges, collect_edges, fan_out, relax
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,16 @@ def graph_stats(kg: KG) -> GraphStats:
     )
 
 
+def _length_task(edges: Edges, landmarks, *, max_hops: int):
+    """Per landmark, ``(Σ dist, count, max)`` over the other nodes it reaches."""
+    for lm in landmarks:
+        (dist,) = relax(edges, [lm], max_hops=max_hops, per_landmark=True).dist
+        dist = dist[np.isfinite(dist) & (dist > 0)]
+        yield dist.sum(), dist.size, dist.max(initial=0.0)
+
+
 def path_length_stats(
-    kg: KG,
-    *,
-    n_landmarks: int = 48,
-    max_hops: int = 12,
-    seed: int = 7,
+    kg: KG, *, n_landmarks: int = 48, max_hops: int = 12, seed: int = 7
 ) -> tuple[float, int]:
     """(avg shortest-path length, diameter estimate) by sampled BFS.
 
@@ -92,16 +93,10 @@ def path_length_stats(
     partitioned; distances are unit-cost over the undirected view, matching
     how Table II's "Average Path Length 3.20 / Diameter 6" treats the graph.
     """
-    landmarks = (
-        kg.nodes.orderBy(F.xxhash64("id", F.lit(seed)), "id")
-        .limit(n_landmarks)
-        .select(F.lit(0).alias("sid"), F.col("id").alias("landmark"))
-    )
-    edges = kg.undirected().select("src", "dst", F.lit(1.0).alias("cost"))
-    dists = multi_landmark_paths(edges, landmarks, max_hops=max_hops)
-    row = (
-        dists.where(F.col("dist") > 0)
-        .agg(F.avg("dist").alias("avg"), F.max("dist").alias("diam"))
-        .collect()[0]
-    )
-    return float(row["avg"] or 0.0), int(row["diam"] or 0)
+    order = kg.nodes.orderBy(F.xxhash64("id", F.lit(seed)), "id")
+    landmarks = [r["id"] for r in order.limit(n_landmarks).select("id").collect()]
+    edges = collect_edges(kg.undirected().select("src", "dst", F.lit(1.0).alias("cost")))
+    task = partial(_length_task, max_hops=max_hops)
+    sums = fan_out(kg.nodes.sparkSession.sparkContext, edges, landmarks, task)
+    total, count = sum(s for s, _, _ in sums), sum(n for _, n, _ in sums)
+    return (float(total / count) if count else 0.0), int(max((m for *_, m in sums), default=0))

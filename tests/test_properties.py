@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core.pcst import _merge_phase
 from repro.core.scenarios import SummaryRequest
-from repro.core.steiner import _DSU, _closure_mst, _tree_of_union
-from repro.core.summary import Summary, _norm, summary_from_paths
+from repro.core.steiner import _closure_mst, _tree_of_union
+from repro.core.summary import _DSU, Summary, _norm, summary_from_paths
+from repro.graph.sssp import edge_arrays
 from repro.kg.build import IdSpace
 from repro.metrics import reference as ref
 
@@ -96,7 +97,8 @@ def test_tree_of_union_is_acyclic_and_covers_terminals(paths):
     g = nx.Graph(edges)
     comp = max(nx.connected_components(g), key=len)
     terminals = set(list(sorted(comp))[:2])
-    tree = _tree_of_union(edges, terminals)
+    rows = [(a, b) for e in edges for a, b in (e, e[::-1])]
+    tree = _tree_of_union(edges, terminals, edge_arrays(*zip(*rows), [1.0] * len(rows)))
     t = nx.Graph(tree)
     if tree:
         assert nx.is_forest(t)

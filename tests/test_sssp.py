@@ -1,11 +1,22 @@
 """Batched multi-landmark shortest paths vs networkx Dijkstra."""
 import networkx as nx
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core import pcst_summaries, steiner_summaries
-from repro.graph.sssp import multi_landmark_paths, voronoi_partition
-from tests.conftest import hop_limited_bellman_ford, nx_of, random_kg
+from repro.core.scenarios import SummaryRequest
+from repro.core.weights import base_cost_edges, boost_table, w_cap_for
+from repro.graph.model import ETYPE_IE, ETYPE_UI
+from repro.graph.sssp import (
+    boosted,
+    collect_edges,
+    edge_arrays,
+    edges_by_sid,
+    multi_landmark_paths,
+    voronoi_partition,
+)
+from tests.conftest import hop_limited_bellman_ford, make_kg, nx_of, random_kg
 
 
 def _cost_edges(kg):
@@ -230,7 +241,7 @@ def _jobs(spark, group, fn) -> int:
 
 @pytest.mark.parametrize("which", ["multi_landmark_paths", "voronoi_partition"])
 def test_round_jobs(spark, which):
-    # The rounds run inside one fan-out job, so jobs per call do not grow
+    # The rounds run in numpy, not in Spark, so jobs per call do not grow
     # with max_hops.
     kg = random_kg(spark, n=30, m=60, seed=0)
     edges, sources, boosts = _boosted_inputs(spark, kg)
@@ -272,3 +283,43 @@ def test_negative_node_id_is_rejected(spark):
     sources = spark.createDataFrame([(0, 2)], "sid: int, landmark: long")
     with pytest.raises(ValueError, match="node ids"):
         multi_landmark_paths(edges, sources, max_hops=2)
+
+
+def _rows_of(edges):
+    return sorted(zip(edges.src.tolist(), edges.dst.tolist(), edges.cost.tolist()))
+
+
+def test_boosted_lowers_every_kg_copy_of_an_edge(spark):
+    # The KG holds 0-1 twice, as two etypes with weights 2 and 4, so Eq. 1
+    # gives one boost row per copy and direction: costs 1.25 and 1.0 at
+    # w_cap = 4 · (1 + λ) = 8. Both copies take the cheaper one.
+    kg = make_kg(spark, [(0, 1, 2.0, ETYPE_UI), (0, 1, 4.0, ETYPE_IE), (1, 2, 3.0, ETYPE_UI)])
+    req = SummaryRequest(
+        sid="s", scenario="user-centric", centers=(0,), targets=((1, 2),), paths=((1, (0, 1, 2)),)
+    )
+    w_cap = w_cap_for(kg, 1.0)
+    edges = collect_edges(base_cost_edges(kg, w_cap))
+    boosts = edges_by_sid(boost_table(spark, kg, [req], lam=1.0, w_cap=w_cap, k=1))["s"]
+    assert sorted(boosts.cost.tolist()) == [1.0, 1.0, 1.125, 1.125, 1.25, 1.25]
+    assert _rows_of(boosted(edges, boosts)) == [
+        (0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 0, 1.0), (1, 2, 1.125), (2, 1, 1.125)
+    ]
+
+
+def test_boosted_never_raises_a_cost_nor_adds_an_edge():
+    edges = edge_arrays([0, 1, 1, 2], [1, 0, 2, 1], [1.0, 1.0, 1.5, 1.5])
+    # 0→1 costs more than its shared row; 0→2 and 5→6 are not in the table.
+    boosts = edge_arrays([0, 1, 0, 5], [1, 2, 2, 6], [1.25, 1.25, 0.5, 0.5])
+    assert _rows_of(boosted(edges, boosts)) == [
+        (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.25), (2, 1, 1.5)
+    ]
+    assert boosted(edges, None) is edges
+
+
+def test_boosted_leaves_the_shared_table_and_other_summaries_alone():
+    edges = edge_arrays([0, 1, 1, 2], [1, 0, 2, 1], [1.0, 1.0, 1.5, 1.5])
+    a = boosted(edges, edge_arrays([0, 1], [1, 0], [0.5, 0.5]))
+    b = boosted(edges, edge_arrays([1, 2], [2, 1], [0.75, 0.75]))
+    np.testing.assert_array_equal(edges.cost, [1.0, 1.0, 1.5, 1.5])
+    np.testing.assert_array_equal(a.cost, [0.5, 0.5, 1.5, 1.5])
+    np.testing.assert_array_equal(b.cost, [1.0, 1.0, 0.75, 0.75])

@@ -1,4 +1,5 @@
 """Algorithm 1 (ST summaries): tree validity, 2-approximation, λ behaviour."""
+from collections import Counter
 from itertools import chain, combinations
 
 import networkx as nx
@@ -11,7 +12,7 @@ from networkx.algorithms.approximation import steiner_tree
 from repro.core import steiner
 from repro.core.pcst import pcst_summaries
 from repro.core.scenarios import SummaryRequest, user_group_requests
-from repro.core.steiner import _metric_closure, steiner_summaries
+from repro.core.steiner import _metric_closure, _tree_of_union, steiner_summaries
 from repro.core.weights import COST_EPS, w_cap_for
 from repro.graph.model import ETYPE_UI
 from repro.graph.sssp import edge_arrays
@@ -356,3 +357,81 @@ def test_isolated_terminal_and_single_terminal(spark):
     pair, single = steiner_summaries(spark, kg, reqs, lam=1.0)
     assert pair.edges == ((0, 1), (1, 2)) and pair.nodes == {0, 1, 2}
     assert single.edges == () and single.nodes == {9}
+
+
+def test_union_tree_is_spanned_by_cost_not_node_ids():
+    # The union is the triangle 0-1-2 and every node is a terminal. In
+    # node-id order (0, 1) and (0, 2) come first; by cost (0, 1) is the
+    # dearest edge and is the one left out.
+    rows = {(0, 1): 1.5, (0, 2): 1.0, (1, 2): 1.25}
+    costs = _edges({e: c for (u, v), c in rows.items() for e in ((u, v), (v, u))})
+    assert _tree_of_union(set(rows), {0, 1, 2}, costs) == {(0, 2), (1, 2)}
+    # A cheaper second copy of 0-1 makes it the cheapest edge.
+    twice = edge_arrays(
+        [0, 1, 0, 2, 1, 2, 0, 1], [1, 0, 2, 0, 2, 1, 1, 0], [1.5, 1.5, 1.0, 1.0, 1.25, 1.25, 0.5, 0.5]
+    )
+    assert _tree_of_union(set(rows), {0, 1, 2}, twice) == {(0, 1), (0, 2)}
+
+
+def _kmb(g: nx.Graph, terminals) -> set[tuple[int, int]]:
+    """Kou, Markowsky and Berman (1981) in plain Python over networkx, by the
+    edges' ``cost``: the metric closure of ``terminals`` (one Dijkstra per
+    terminal, as networkx's deprecated ``metric_closure`` computes it), its
+    MST, the closure edges unfolded into their paths, the union's MST, and
+    non-terminal leaves pruned.
+    """
+    closure = nx.Graph()
+    for t in terminals:
+        dist, path = nx.single_source_dijkstra(g, t, weight="cost")
+        closure.add_edges_from((t, u, {"cost": dist[u], "path": path[u]}) for u in terminals if u != t)
+    union = nx.Graph()
+    for _, _, path in nx.minimum_spanning_tree(closure, weight="cost").edges(data="path"):
+        nx.add_path(union, path)
+    tree = nx.Graph(nx.minimum_spanning_tree(g.edge_subgraph(union.edges), weight="cost"))
+    while leaves := [v for v, deg in tree.degree if deg == 1 and v not in terminals]:
+        tree.remove_nodes_from(leaves)
+    return {(min(e), max(e)) for e in tree.edges}
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_equals_exact_kmb_reference(spark, lam):
+    # Twelve random connected graphs with distinct weights, side by side in
+    # one KG, one request each, with two random walks as its explanation
+    # paths. max_hops is the largest graph's n − 1, so the hop limit binds
+    # no simple path, and ST must return exactly KMB's tree under the
+    # request's Eq. 1 costs.
+    rng = np.random.default_rng(23)
+    graphs, offset = [], 0
+    for i in range(12):
+        n = int(rng.integers(6, 13))
+        pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+        while len(pairs) < n - 1 + n // 2:
+            a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+            pairs.add((a, b))
+        g = nx.Graph()
+        g.add_weighted_edges_from(
+            ((a + offset, b + offset, float(rng.uniform(0.5, 5.0))) for a, b in sorted(pairs)),
+            weight="w",
+        )
+        terminals = [int(t) + offset for t in rng.choice(n, size=int(rng.integers(3, 7)), replace=False)]
+        walks = []
+        for _ in range(2):
+            walk = [terminals[0]]
+            for _ in range(3):
+                walk.append(int(rng.choice(sorted(g[walk[-1]]))))
+            walks.append(walk)
+        graphs.append((g, terminals, walks))
+        offset += n
+    kg = make_kg(spark, [(a, b, w, ETYPE_UI) for g, _, _ in graphs for a, b, w in g.edges(data="w")])
+    weights = [w for g, _, _ in graphs for _, _, w in g.edges(data="w")]
+    assert len(set(weights)) == len(weights)
+    reqs = [_req(ts, walks, sid=f"g{i}") for i, (_, ts, walks) in enumerate(graphs)]
+    max_hops = max(g.number_of_nodes() for g, _, _ in graphs) - 1
+    got = steiner_summaries(spark, kg, reqs, lam=lam, max_hops=max_hops)
+    w_cap = w_cap_for(kg, lam)
+    for s, (g, terminals, walks) in zip(got, graphs):
+        freq = Counter(e for w in walks for e in zip(w, w[1:]))
+        for a, b, w in g.edges(data="w"):
+            boost = w * (1.0 + lam * (freq[a, b] + freq[b, a]) / len(walks))
+            g[a][b]["cost"] = 1.0 + COST_EPS * (1.0 - min(max(boost / w_cap, 0.0), 1.0))
+        assert set(s.edges) == _kmb(g, terminals), s.sid
