@@ -84,6 +84,7 @@ def pcst_summaries(
 
     edges = collect_edges(kg.undirected().select("src", "dst", F.lit(EDGE_COST).alias("cost")))
     items = [(r.sid, r.terminals(k_top)) for r in requests]
+    items.sort(key=lambda item: -len(item[1]))  # largest first: fan_out deals them
     task = partial(_boundary_task, max_hops=max_hops)
     by_sid = dict(fan_out(spark.sparkContext, edges, items, task))
 

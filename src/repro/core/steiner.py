@@ -92,6 +92,7 @@ def _metric_closure(
     ``terminals`` is ``{sid: [node]}``, ``boosts`` ``{sid: Edges}``.
     """
     items = [(sid, ts, boosts.get(sid)) for sid, ts in terminals.items()]
+    items.sort(key=lambda item: -len(item[1]))  # largest first: fan_out deals them
     return dict(fan_out(sc, edges, items, partial(_closure_task, max_hops=max_hops)))
 
 

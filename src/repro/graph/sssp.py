@@ -6,7 +6,8 @@ vectorized hop-limited Bellman–Ford over numpy arrays that runs per summary
 inside a Spark task, and a call is one fan-out job (:func:`fan_out`): the
 call's edge table is collected once and broadcast as arrays sorted by
 ``src``, the items (a summary's seeds, and for ST its Eq. 1 boost rows) are
-parallelized, and each task returns only what its caller keeps.
+dealt round-robin to its tasks, and each task returns only what its caller
+keeps.
 
 The state is a dense :class:`Table`: ``dist`` is ``(rows, span)``, inf
 where a node is unreached, and ``path`` is ``(rows, span, H + 1)``, padded
@@ -36,19 +37,19 @@ the cost column first (:func:`boosted`): each KG copy of a boosted edge
 costs the smaller of its shared cost and its boost, so one summary's boosts
 never reach another's search.
 
-:func:`multi_landmark_paths` and :func:`voronoi_partition` run :func:`relax`
-on the driver and return DataFrames built from :meth:`Table.rows`, for the
-tests; the summarizers and :func:`repro.graph.stats.path_length_stats` call
-:func:`relax` in their own tasks.
+The summarizers and :func:`repro.graph.stats.path_length_stats` call
+:func:`relax` in their own tasks. :func:`multi_landmark_paths` and
+:func:`voronoi_partition` exist for the benchmark's traced run, which wraps
+those two names and counts the rows they return: each runs :func:`relax`
+once per summary on the driver and returns its reached entries as a
+DataFrame.
 """
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import pandas as pd
 from pyspark import SparkContext
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 _EPS = 1e-9
 
@@ -59,16 +60,6 @@ class Edges(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
     cost: np.ndarray
-
-
-class Paths(NamedTuple):
-    """Kernel rows: ``path[i]`` runs from ``path[i, 0]`` to ``node[i]``,
-    padded with −1 to the width ``max_hops + 1``.
-    """
-
-    node: np.ndarray
-    dist: np.ndarray
-    path: np.ndarray
 
 
 class Table(NamedTuple):
@@ -82,15 +73,6 @@ class Table(NamedTuple):
     landmarks: np.ndarray
     dist: np.ndarray
     path: np.ndarray
-
-    def rows(self) -> Paths:
-        """The reached entries, sorted by row, then node."""
-        r, node = np.nonzero(np.isfinite(self.dist))
-        return Paths(node, self.dist[r, node], self.path[r, node])
-
-
-def _concat(parts) -> Paths:
-    return Paths(*map(np.concatenate, zip(*parts)))
 
 
 def _check_ids(*ids: np.ndarray) -> None:
@@ -221,80 +203,64 @@ def cheapest_pairs(cost, ra, rb, path) -> list[tuple[float, int, int, tuple[int,
     ]
 
 
-def _run(task, table, items):
-    return task(table.value, items)
+def _run(task, table, hands):
+    return task(table.value, [item for hand in hands for item in hand])
 
 
 def fan_out(sc: SparkContext, edges: Edges, items: list, task) -> list:
     """``task(edges, items)`` over ``items``, in one Spark job.
 
-    ``edges`` is broadcast once; the items are split into
-    ``min(len(items), defaultParallelism)`` partitions, and each partition's
-    task returns an iterable of rows, all collected. An RDD, not an Arrow
-    UDF: in a fresh JVM on a 4-core VM, the first Arrow UDF took 2.25 s
-    against 0.45 s for the RDD job.
+    ``edges`` is broadcast once; the items are dealt round-robin into
+    ``n = min(len(items), defaultParallelism)`` partitions (item ``i`` to
+    partition ``i mod n``, so callers pass their largest items first), and
+    each partition's task returns an iterable of rows, all collected. An
+    RDD, not an Arrow UDF: in a fresh JVM on a 4-core VM, the first Arrow
+    UDF took 2.25 s against 0.45 s for the RDD job.
     """
     if not items:
         return []
     table = sc.broadcast(edges)
     try:
-        rdd = sc.parallelize(items, min(len(items), sc.defaultParallelism))
+        n = min(len(items), sc.defaultParallelism)
+        # One hand per partition: ``parallelize`` slices a list in order.
+        rdd = sc.parallelize([items[i::n] for i in range(n)], n)
         return rdd.mapPartitions(partial(_run, task, table)).collect()
     finally:
         table.destroy()
 
 
-def _seeds(seeds: DataFrame) -> pd.DataFrame:
-    return seeds.select("sid", "landmark").toPandas().drop_duplicates()
+def _frame(edges: DataFrame, seeds: DataFrame, *, max_hops: int, per_landmark: bool) -> DataFrame:
+    """``(sid, landmark|root, node, dist, path)``, one row per reached entry
+    of one :func:`relax` run per sid over its ``seeds``, on the driver."""
+    table, by_sid = collect_edges(edges), {}
+    for sid, lm in seeds.select("sid", "landmark").collect():
+        by_sid.setdefault(sid, []).append(lm)
+    rows = []
+    for sid, landmarks in by_sid.items():
+        t = relax(table, landmarks, max_hops=max_hops, per_landmark=per_landmark)
+        for r, v in zip(*np.nonzero(np.isfinite(t.dist))):
+            p = t.path[r, v]
+            rows.append((sid, int(p[0]), int(v), float(t.dist[r, v]), p[p >= 0].tolist()))
+    root = "landmark" if per_landmark else "root"
+    sid = seeds.schema["sid"].dataType.simpleString()
+    schema = f"sid: {sid}, {root}: long, node: long, dist: double, path: array<bigint>"
+    return seeds.sparkSession.createDataFrame(rows, schema)
 
 
-def _frame(seeds: DataFrame, tables: list, root: str, width: int) -> DataFrame:
-    """``(sid, <root>, node, dist, path)`` from ``[(sid, Table)]``."""
-    cols = [f"p{i}" for i in range(width)]
-    parts = [(sid, t.rows()) for sid, t in tables]
-    ids = np.zeros(0, np.int64)
-    p = _concat(q for _, q in parts) if parts else Paths(ids, np.zeros(0), ids.reshape(0, width))
-    sid = pd.Series([s for s, _ in parts], dtype=None if parts else object)
-    pdf = pd.DataFrame(
-        {
-            "sid": sid.repeat([len(q.node) for _, q in parts]).to_numpy(),
-            root: p.path[:, 0],
-            "node": p.node,
-            "dist": p.dist,
-            **{c: p.path[:, i] for i, c in enumerate(cols)},
-        }
-    )
-    sid_type = seeds.schema["sid"].dataType.simpleString()
-    schema = f"sid: {sid_type}, {root}: long, node: long, dist: double, "
-    df = seeds.sparkSession.createDataFrame(pdf, schema + ", ".join(f"{c}: long" for c in cols))
-    path = F.filter(F.array(*cols), lambda n: n >= 0).alias("path")
-    return df.select("sid", root, "node", "dist", path)
-
-
-def multi_landmark_paths(
-    edges: DataFrame, sources: DataFrame, *, max_hops: int, boosts: DataFrame | None = None
-) -> DataFrame:
+def multi_landmark_paths(edges: DataFrame, sources: DataFrame, *, max_hops: int) -> DataFrame:
     """Shortest paths from every landmark of every summary, one kernel run
-    per ``(sid, landmark)`` on the driver.
+    per summary on the driver.
 
     Args:
         edges: symmetrized edge table ``(src, dst, cost)`` with ``cost > 0``.
         sources: ``(sid, landmark)`` — one row per landmark per summary.
         max_hops: maximum number of edges on any returned path.
-        boosts: optional ``(sid, src, dst, cost)`` — per-summary costs for
-            (directed, already-symmetrized) edges of ``edges``, folded in by
-            :func:`boosted`.
 
     Returns:
         ``(sid, landmark, node, dist, path)`` where ``path`` is the node array
         from ``landmark`` to ``node`` inclusive; one row per reached node.
     """
-    table, by_sid = collect_edges(edges), edges_by_sid(boosts)
-    parts = [
-        (sid, relax(boosted(table, by_sid.get(sid)), [lm], max_hops=max_hops, per_landmark=True))
-        for sid, lm in _seeds(sources).itertuples(index=False)
-    ]
-    return _frame(sources, parts, "landmark", max_hops + 1)
+    return _frame(edges, sources, max_hops=max_hops, per_landmark=True)
 
 
 def voronoi_partition(edges: DataFrame, seeds: DataFrame, *, max_hops: int) -> DataFrame:
@@ -312,9 +278,5 @@ def voronoi_partition(edges: DataFrame, seeds: DataFrame, *, max_hops: int) -> D
         (ties go to the smaller one), ``path`` the node array from ``root``
         to ``node`` inclusive.
     """
-    table = collect_edges(edges)
-    parts = [
-        (sid, relax(table, g["landmark"].to_numpy(), max_hops=max_hops, per_landmark=False))
-        for sid, g in _seeds(seeds).groupby("sid", sort=True)
-    ]
-    return _frame(seeds, parts, "root", max_hops + 1).select("sid", "node", "root", "dist", "path")
+    frame = _frame(edges, seeds, max_hops=max_hops, per_landmark=False)
+    return frame.select("sid", "node", "root", "dist", "path")

@@ -8,7 +8,6 @@ small tests.
 import networkx as nx
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import (
     baseline_summaries,
@@ -17,6 +16,7 @@ from repro.core import (
     user_centric_requests,
 )
 from repro.graph.model import KG, NTYPE_EXT, NTYPE_ITEM, NTYPE_USER
+from repro.graph.sssp import Edges, Table, edge_arrays
 from repro.kg.datasets import dataset_kg, ml1m
 from repro.recommenders import pgpr
 
@@ -49,22 +49,47 @@ def nx_of(kg: KG) -> nx.Graph:
     return g
 
 
-def random_kg(spark, *, n=12, m=20, seed=0) -> KG:
-    """Seeded random graph with mixed node types and weights in [0.5, 5]."""
+def _ntype(node: int) -> str:
+    return [NTYPE_USER, NTYPE_ITEM, NTYPE_EXT][node % 3]
+
+
+def random_edges(*, n=12, m=20, seed=0) -> list[tuple[int, int, float, str]]:
+    """Seeded random ``[(a, b, weight, etype)]`` over nodes ``0..n-1``:
+    ``m`` distinct pairs ``a < b`` in sorted order, weights in [0.5, 5]."""
     rng = np.random.default_rng(seed)
     edges = set()
     while len(edges) < m:
         a, b = rng.integers(0, n, size=2)
         if a != b:
             edges.add((min(int(a), int(b)), max(int(a), int(b))))
-    ntypes = {
-        i: [NTYPE_USER, NTYPE_ITEM, NTYPE_EXT][i % 3] for i in range(n)
-    }
-    elist = [
-        (a, b, float(rng.uniform(0.5, 5.0)), "ui" if ntypes[a] == NTYPE_USER else "ie")
+    return [
+        (a, b, float(rng.uniform(0.5, 5.0)), "ui" if _ntype(a) == NTYPE_USER else "ie")
         for a, b in sorted(edges)
     ]
-    return make_kg(spark, elist, ntypes)
+
+
+def random_kg(spark, *, n=12, m=20, seed=0) -> KG:
+    """:func:`random_edges` as a KG, with mixed node types."""
+    return make_kg(spark, random_edges(n=n, m=m, seed=seed), {i: _ntype(i) for i in range(n)})
+
+
+def undirected(edges, cost=lambda w: 1.0) -> Edges:
+    """``[(a, b, weight, etype)]`` as kernel :class:`Edges`, both directions
+    of each edge costing ``cost(weight)`` (1.0 by default), as
+    ``KG.undirected`` gives them."""
+    a, b, w, _ = zip(*edges)
+    c = [cost(x) for x in w]
+    return edge_arrays(a + b, b + a, c + c)
+
+
+def reached(table: Table) -> dict:
+    """``{(path[0], node): (dist, path)}`` for every reached entry of a
+    kernel table; ``path[0]`` is the landmark, or the node's root."""
+    out = {}
+    for r, v in zip(*np.nonzero(np.isfinite(table.dist))):
+        p = table.path[r, v]
+        out[int(p[0]), int(v)] = (float(table.dist[r, v]), tuple(int(n) for n in p[p >= 0]))
+    return out
 
 
 @pytest.fixture(scope="session")
